@@ -2,18 +2,209 @@ package consistency
 
 import (
 	"bytes"
+	"syscall"
 	"testing"
+	"time"
 
 	"benchpress/internal/dbdriver"
 	"benchpress/internal/sqldb/storage/heap"
 	"benchpress/internal/sqldb/txn"
+	"benchpress/internal/wal"
 )
+
+// faults are the sink failures every RAM-arm sweep runs at each budget.
+var faults = []Fault{FaultKill, FaultShortWrite, FaultNoSpace}
+
+func (f Fault) String() string {
+	return [...]string{"kill", "short-write", "enospc"}[f]
+}
+
+// ramBase is the RAM arm's baseline: write-through WAL, one session, no
+// kill - used to measure the full log size for the kill-point sweep.
+func ramBase(t *testing.T, seed int64) CrashConfig {
+	t.Helper()
+	cfg := CrashConfig{Policy: wal.SyncNone, Seed: seed, Budget: -1}
+	if *long {
+		cfg.Txns = 1200
+	}
+	return cfg
+}
+
+// TestBudgetWriter pins the meter's fault kinds directly: a 10-byte budget
+// takes "hello" whole, the crossing write fails as the fault says, and a
+// later write fails for good after a kill but lands whole after a
+// transient fault.
+func TestBudgetWriter(t *testing.T) {
+	for _, tc := range []struct {
+		fault     Fault
+		crossN    int
+		crossErr  error
+		laterN    int
+		laterErr  error
+		surviving string
+	}{
+		{FaultKill, 5, ErrKilled, 0, ErrKilled, "helloworld"},
+		{FaultShortWrite, 5, nil, 1, nil, "helloworldx"},
+		{FaultNoSpace, 0, syscall.ENOSPC, 1, nil, "hellox"},
+	} {
+		w := &budgetWriter{budget: newCrashBudget(10), fault: tc.fault}
+		if n, err := w.Write([]byte("hello")); n != 5 || err != nil {
+			t.Fatalf("%v: first write: n=%d err=%v", tc.fault, n, err)
+		}
+		if n, err := w.Write([]byte("worldwide")); n != tc.crossN || err != tc.crossErr {
+			t.Fatalf("%v: budget-crossing write: n=%d err=%v, want %d, %v", tc.fault, n, err, tc.crossN, tc.crossErr)
+		}
+		if n, err := w.Write([]byte("x")); n != tc.laterN || err != tc.laterErr {
+			t.Fatalf("%v: post-fault write: n=%d err=%v, want %d, %v", tc.fault, n, err, tc.laterN, tc.laterErr)
+		}
+		if got := string(w.buf); got != tc.surviving {
+			t.Fatalf("%v: surviving image %q, want %q", tc.fault, got, tc.surviving)
+		}
+		if !w.budget.killed() {
+			t.Fatalf("%v: budget not marked killed", tc.fault)
+		}
+	}
+}
+
+// TestCrashRecoveryClean is the RAM arm's no-crash baseline: the log holds
+// one commit record per OnCommit call - exactly the acked commits - and
+// rolled-back transactions never appear.
+func TestCrashRecoveryClean(t *testing.T) {
+	res, err := RunCrash(ramBase(t, harnessSeed(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Killed {
+		t.Fatal("unlimited budget run reported a kill")
+	}
+	var acked, rolledBack int
+	for i := range res.Attempts {
+		if res.Attempts[i].Acked {
+			acked++
+		}
+		if res.Attempts[i].RolledBack {
+			rolledBack++
+		}
+		if res.Attempts[i].Uncertain {
+			t.Fatalf("txn %d uncertain without a crash", res.Attempts[i].ID)
+		}
+	}
+	if acked == 0 || rolledBack == 0 {
+		t.Fatalf("workload shape degenerate: acked=%d rolledBack=%d", acked, rolledBack)
+	}
+	if recs, _, err := wal.ScanRecords(res.WALImage); err != nil || len(recs) != acked {
+		t.Fatalf("log holds %d records (err %v) for %d commits", len(recs), err, acked)
+	}
+	if err := VerifyCrash(res, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrashKillPointSweep is the RAM arm's torture core: the same seeded
+// workload runs against log devices that fail at byte budgets swept across
+// the whole log, including cuts inside record frames, under each fault
+// kind. At every point acked = winners exactly (write-through appends make
+// the uncertainty window empty), every failed commit reports the fault,
+// and a fresh session sees exactly the acked commits' rows.
+func TestCrashKillPointSweep(t *testing.T) {
+	seed := harnessSeed(t)
+	base, err := RunCrash(ramBase(t, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := base.Used
+	if total == 0 {
+		t.Fatal("baseline produced an empty log")
+	}
+	points := 14
+	if *long {
+		points = 60
+	}
+	for i := 0; i <= points; i++ {
+		budget := total * int64(i) / int64(points)
+		// Probe both the aligned cut and three bytes short of it, so both
+		// record-boundary and mid-frame tears are covered.
+		for _, b := range []int64{budget, budget - 3} {
+			if b < 0 {
+				continue
+			}
+			for _, f := range faults {
+				cfg := ramBase(t, seed)
+				cfg.Budget, cfg.Fault = b, f
+				res, err := RunCrash(cfg)
+				if err != nil {
+					t.Fatalf("budget %d %v: %v", b, f, err)
+				}
+				if b < total && !res.Killed {
+					t.Fatalf("budget %d %v below total %d did not fault", b, f, total)
+				}
+				if err := VerifyCrash(res, true); err != nil {
+					t.Fatalf("budget %d %v: %v", b, f, err)
+				}
+			}
+		}
+	}
+}
+
+// TestCrashDeterminism pins the property the sweep relies on: the same seed
+// and budget reproduce the same surviving log image bit-for-bit.
+func TestCrashDeterminism(t *testing.T) {
+	cfg := ramBase(t, harnessSeed(t))
+	cfg.Budget = 777
+	a, err := RunCrash(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunCrash(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.WALImage, b.WALImage) {
+		t.Fatalf("same seed+budget produced different log images (%d vs %d bytes)", len(a.WALImage), len(b.WALImage))
+	}
+}
+
+// TestCrashGroupCommit tortures the group-commit path with concurrent
+// sessions: a failed sink must fail every waiter of the affected generation
+// (no acknowledged-but-lost commits), while complete records from a
+// partially flushed generation are attributed to the uncertainty window.
+func TestCrashGroupCommit(t *testing.T) {
+	seed := harnessSeed(t)
+	group := func(budget int64, f Fault) (*CrashResult, error) {
+		res, err := RunCrash(CrashConfig{
+			Policy: wal.SyncGroup, GroupInterval: 100 * time.Microsecond,
+			Seed: seed, Workers: 4, Budget: budget, Fault: f,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return res, VerifyCrash(res, false)
+	}
+	base, err := group(-1, FaultKill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := base.Used
+	budgets := []int64{total / 5, total / 2, total * 4 / 5}
+	if *long {
+		for i := int64(1); i < 20; i++ {
+			budgets = append(budgets, total*i/20-1)
+		}
+	}
+	for _, b := range budgets {
+		for _, f := range faults {
+			if _, err := group(b, f); err != nil {
+				t.Fatalf("budget %d %v: %v", b, f, err)
+			}
+		}
+	}
+}
 
 // recoverVerifyConform recovers a crash run's disk image, checks the
 // durability contract, optionally runs the isolation-conformance oracle on
 // the recovered engine (proving it is a fully working database, not just a
 // readable one), and returns the number of torn pages recovery rebuilt.
-func recoverVerifyConform(t *testing.T, res *DiskCrashResult, attempts []CommitAttempt, conformTxns int, seed int64) int {
+func recoverVerifyConform(t *testing.T, res *CrashResult, attempts []CommitAttempt, conformTxns int, seed int64) int {
 	t.Helper()
 	eng, err := RecoverDiskCrash(res, 8)
 	if err != nil {
@@ -57,7 +248,7 @@ func recoverVerifyConform(t *testing.T, res *DiskCrashResult, attempts []CommitA
 // TestDiskCrashClean is the no-crash baseline: with an unlimited budget every
 // acked commit wins recovery and the recovered contents match the model.
 func TestDiskCrashClean(t *testing.T) {
-	res, err := RunDiskCrash(DiskCrashConfig{Seed: harnessSeed(t), Budget: -1})
+	res, err := RunCrash(CrashConfig{Disk: true, Seed: harnessSeed(t), Budget: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +279,12 @@ func TestDiskCrashClean(t *testing.T) {
 // TestDiskCrashDeterminism pins the property the sweep stands on: the same
 // seed and budget reproduce the same WAL bytes and the same device image.
 func TestDiskCrashDeterminism(t *testing.T) {
-	cfg := DiskCrashConfig{Seed: harnessSeed(t), Budget: 9000}
-	a, err := RunDiskCrash(cfg)
+	cfg := CrashConfig{Disk: true, Seed: harnessSeed(t), Budget: 9000}
+	a, err := RunCrash(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDiskCrash(cfg)
+	b, err := RunCrash(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +311,7 @@ func TestDiskCrashDeterminism(t *testing.T) {
 // the recovered engine must pass the isolation-conformance oracle.
 func TestDiskCrashKillPointSweep(t *testing.T) {
 	seed := harnessSeed(t)
-	dry, err := RunDiskCrash(DiskCrashConfig{Seed: seed, Budget: -1})
+	dry, err := RunCrash(CrashConfig{Disk: true, Seed: seed, Budget: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +372,7 @@ func TestDiskCrashKillPointSweep(t *testing.T) {
 
 	tornTotal := 0
 	for _, b := range points {
-		res, err := RunDiskCrash(DiskCrashConfig{Seed: seed, Budget: b})
+		res, err := RunCrash(CrashConfig{Disk: true, Seed: seed, Budget: b})
 		if err != nil {
 			t.Fatalf("budget %d: %v", b, err)
 		}
@@ -202,11 +393,11 @@ func TestDiskCrashKillPointSweep(t *testing.T) {
 // borrow a first-life commit record.
 func TestDiskCrashChainedRestarts(t *testing.T) {
 	seed := harnessSeed(t)
-	dry1, err := RunDiskCrash(DiskCrashConfig{Seed: seed, Budget: -1})
+	dry1, err := RunCrash(CrashConfig{Disk: true, Seed: seed, Budget: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run1, err := RunDiskCrash(DiskCrashConfig{
+	run1, err := RunCrash(CrashConfig{Disk: true,
 		Seed:   seed,
 		Budget: dry1.SchemaFloor + (dry1.Used-dry1.SchemaFloor)*3/5,
 	})
@@ -219,7 +410,7 @@ func TestDiskCrashChainedRestarts(t *testing.T) {
 
 	// Second life: reopen over the surviving image (recovery runs inside)
 	// and crash again at a budget found by a chained dry run.
-	chain := DiskCrashConfig{Seed: seed + 1, Device: run1.Device, WAL: run1.WALImage}
+	chain := CrashConfig{Disk: true, Seed: seed + 1, Device: run1.Device, WAL: run1.WALImage}
 	// The chained dry run mutates the device via recovery write-back, so run
 	// it on a deep copy to keep the real chain pristine.
 	dryDev := heap.NewMemDevice()
@@ -230,12 +421,12 @@ func TestDiskCrashChainedRestarts(t *testing.T) {
 			}
 		}
 	}
-	dry2, err := RunDiskCrash(DiskCrashConfig{Seed: seed + 1, Device: dryDev, WAL: run1.WALImage, Budget: -1})
+	dry2, err := RunCrash(CrashConfig{Disk: true, Seed: seed + 1, Device: dryDev, WAL: run1.WALImage, Budget: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	chain.Budget = dry2.SchemaFloor + (dry2.Used-dry2.SchemaFloor)*3/5
-	run2, err := RunDiskCrash(chain)
+	run2, err := RunCrash(chain)
 	if err != nil {
 		t.Fatal(err)
 	}

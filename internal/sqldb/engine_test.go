@@ -1,11 +1,13 @@
 package sqldb
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"benchpress/internal/sqldb/exec"
 	"benchpress/internal/sqldb/txn"
+	"benchpress/internal/wal"
 )
 
 func newEngine(t *testing.T, mode txn.Mode) *Engine {
@@ -845,5 +847,49 @@ func TestAutocommitTxnInfo(t *testing.T) {
 				t.Fatalf("failed autocommit reported committed: %+v", info)
 			}
 		})
+	}
+}
+
+// TestRAMWALOneCommitRecordPerOnCommit pins the RAM engines' log format:
+// every OnCommit call — a claims-only SELECT ... FOR UPDATE commit included —
+// appends exactly one framed KindCommit record carrying the transaction id,
+// and read-only commits append nothing.
+func TestRAMWALOneCommitRecordPerOnCommit(t *testing.T) {
+	var sink bytes.Buffer
+	e := Open(Config{Name: "wal", Mode: txn.MVCC, WALSink: &sink})
+	t.Cleanup(e.Close)
+	var ids []uint64
+	logCommit := e.TxnManager().OnCommit
+	e.TxnManager().OnCommit = func(tx *txn.Txn) error {
+		ids = append(ids, tx.ID())
+		return logCommit(tx)
+	}
+	s := e.Session()
+	mustExec(t, s, "CREATE TABLE kv (k INT NOT NULL, v INT, PRIMARY KEY (k))")
+	mustExec(t, s, "INSERT INTO kv (k, v) VALUES (1, 10), (2, 20)")
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "SELECT v FROM kv WHERE k = 1 FOR UPDATE")
+	mustExec(t, s, "COMMIT")
+	if len(ids) != 2 {
+		t.Fatalf("OnCommit calls = %d, want 2 (insert, claims-only commit)", len(ids))
+	}
+	mustExec(t, s, "UPDATE kv SET v = 11 WHERE k = 1")
+	mustExec(t, s, "SELECT v FROM kv")
+
+	recs, _, err := wal.ScanRecords(sink.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(ids) || len(ids) != 3 {
+		t.Fatalf("%d records for %d OnCommit calls, want 3 each", len(recs), len(ids))
+	}
+	for i, r := range recs {
+		rec, err := wal.DecodeARIES(r.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Kind != wal.KindCommit || rec.Commit != ids[i] {
+			t.Fatalf("record %d: kind %d txn %d, want commit of txn %d", i, rec.Kind, rec.Commit, ids[i])
+		}
 	}
 }

@@ -324,10 +324,6 @@ type WriteRec struct {
 	Old   []sqlval.Value
 }
 
-// WriteCount returns the number of write-set entries (including claims),
-// matching what OnCommit hooks historically received.
-func (t *Txn) WriteCount() int { return len(t.writes) }
-
 // WriteSet materializes the transaction's logical writes in program order,
 // skipping pure claims. Intended for OnCommit durability hooks; allocates.
 func (t *Txn) WriteSet() []WriteRec {

@@ -93,9 +93,9 @@ func TestAppendRecordAsyncAndDurableLSN(t *testing.T) {
 	if got := l.DurableLSN(); got != 2 {
 		t.Fatalf("DurableLSN = %d, want 2", got)
 	}
-	recs, err := ReadRecords(&sink)
+	recs, _, err := ScanRecords(sink.Bytes())
 	if err != nil || len(recs) != 2 {
-		t.Fatalf("ReadRecords: %d recs, %v", len(recs), err)
+		t.Fatalf("ScanRecords: %d recs, %v", len(recs), err)
 	}
 	if recs[0].Seq != 1 || recs[1].Seq != 2 {
 		t.Fatalf("sequence: %d, %d", recs[0].Seq, recs[1].Seq)
@@ -119,9 +119,9 @@ func TestAppendRecordAsyncGroupOrdering(t *testing.T) {
 		t.Fatalf("DurableLSN = %d after awaited commit, want >= 6", got)
 	}
 	l.Close()
-	recs, err := ReadRecords(&sink)
+	recs, _, err := ScanRecords(sink.Bytes())
 	if err != nil || len(recs) != 6 {
-		t.Fatalf("ReadRecords: %d recs, %v", len(recs), err)
+		t.Fatalf("ScanRecords: %d recs, %v", len(recs), err)
 	}
 	for i, r := range recs {
 		if r.Seq != uint64(i+1) {

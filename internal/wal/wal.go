@@ -1,11 +1,12 @@
 // Package wal implements a write-ahead log with emulated durability cost.
 //
-// The engine substitutes this for a real disk fsync path: commit records are
-// encoded and buffered, and the configured sync policy determines how long a
-// committing transaction waits. SyncGroup reproduces group commit - many
-// concurrent committers share one flush - which is the dominant
-// throughput/latency trade-off the BenchPress demo surfaces when a DBMS
-// "struggles at maintaining the rate".
+// The engine substitutes this for a real disk fsync path: every record is
+// one checksummed frame (magic, sequence number, payload length, FNV-32a of
+// the payload, then the payload), buffered or written through, and the
+// configured sync policy determines how long a committing transaction
+// waits. SyncGroup reproduces group commit - many concurrent committers
+// share one flush - which is the dominant throughput/latency trade-off the
+// BenchPress demo surfaces when a DBMS "struggles at maintaining the rate".
 //
 // SyncGroup is pipelined: commits accumulate in the current generation, and
 // sealing a generation immediately opens the next one, so the next batch
@@ -16,18 +17,17 @@
 //
 // Generations seal on the earlier of two triggers. (1) The configured
 // interval: an append that arrives past the deadline seals inline, and the
-// generation's first appender arms a backstop so a batch is never stranded —
-// the interval is the hard cap on batching delay, so a lone commit always
-// pays it, which is what makes a 1ms goserial feel different from a 200µs
-// gomvcc. (2) Straggler quiescence: once a generation holds two or more
-// records and no new append has arrived for a few tens of microseconds,
-// every committer that could join the batch is already parked in it —
-// benchmark terminals are closed-loop, so waiting out the rest of the
-// interval cannot grow the group, it only idles the machine. This is the
-// same "wait briefly for stragglers, then flush" heuristic production group
-// commit uses, and it replaces the previous design's leader spin loop
-// (~30% of a CPU yielding to beat the scheduler's ~1.1ms timer quantum)
-// with a bounded quiescence watch.
+// generation's first appender leads it so a batch is never stranded — the
+// interval is the hard cap on batching delay, so a lone commit always pays
+// it, which is what makes a 1ms goserial feel different from a 200µs
+// gomvcc. A lone leader sleeps on a timer until leadSpinWindow before the
+// deadline and yields the processor (runtime.Gosched) through the rest,
+// because sub-quantum timer sleeps overshoot every configured interval.
+// (2) Straggler quiescence: once a generation holds two or more records,
+// the leader yields in a loop and seals as soon as no new append has
+// arrived for strugglerWait — benchmark terminals are closed-loop, so every
+// committer that could join the batch is already parked in it, and waiting
+// out the rest of the interval would only idle the machine.
 package wal
 
 import (
@@ -69,10 +69,6 @@ func (p SyncPolicy) String() string {
 		return "?"
 	}
 }
-
-// recordHeaderSize is the encoded size of one commit record header:
-// sequence (8) + record count (4) + reserved (4).
-const recordHeaderSize = 16
 
 // flushGen is one group-commit generation. Everyone whose record entered the
 // buffer before the seal waits on done; err carries the sink write verdict
@@ -131,7 +127,7 @@ type Options struct {
 	// W receives flushed bytes; nil discards them.
 	W io.Writer
 	// StartSeq seeds the sequence counter so a log reopened after recovery
-	// continues numbering where the surviving prefix left off (ReadRecords
+	// continues numbering where the surviving prefix left off (ScanRecords
 	// requires consecutive sequence numbers across the whole file). Zero
 	// starts a fresh log at sequence 1.
 	StartSeq uint64
@@ -189,33 +185,16 @@ func (l *Log) Policy() SyncPolicy {
 	return l.policy
 }
 
-// Append encodes one commit record covering n row writes and waits according
-// to the sync policy. It is safe for concurrent use. The returned error is
-// the durability verdict: non-nil means the record is not known durable and
-// the caller's commit must not be acknowledged.
-func (l *Log) Append(n int) error {
-	if l == nil {
-		return nil
-	}
-	var rec [recordHeaderSize]byte
-	binary.BigEndian.PutUint32(rec[8:12], uint32(n))
-	return l.append(rec[:], 0)
-}
-
-// recordMagic guards every payload frame so that replay can tell a torn or
-// corrupt tail from a valid record.
+// recordMagic guards every frame so that replay can tell a torn or corrupt
+// tail from a valid record.
 const recordMagic = 0xB7
 
-// payloadHeaderSize is the encoded size of one payload frame header:
-// magic (1) + reserved (3) + sequence (8) + payload length (4) + FNV-32a (4).
-const payloadHeaderSize = 20
+// PayloadHeaderSize is the encoded size of one frame header: magic (1) +
+// reserved (3) + sequence (8) + payload length (4) + FNV-32a (4). The crash
+// harness uses it to locate payload bytes inside a captured sink image.
+const PayloadHeaderSize = 20
 
-// PayloadHeaderSize is the frame-header size of AppendRecord framing. The
-// crash harness uses it to locate payload bytes inside a captured sink image
-// when picking kill points that tear specific record kinds.
-const PayloadHeaderSize = payloadHeaderSize
-
-// Record is one decoded payload frame.
+// Record is one decoded frame.
 type Record struct {
 	// Seq is the append sequence number (1-based, consecutive).
 	Seq uint64
@@ -224,21 +203,16 @@ type Record struct {
 }
 
 // AppendRecord writes one framed, checksummed payload record and waits for
-// durability per the sync policy, exactly like Append. Logs written with
-// AppendRecord can be replayed with ReadRecords; the two framings must not be
-// mixed in one log.
+// durability per the sync policy. It is safe for concurrent use. The
+// returned error is the durability verdict: non-nil means the record is not
+// known durable and the caller's commit must not be acknowledged. Logs
+// written with AppendRecord are replayed with ScanRecords.
 func (l *Log) AppendRecord(payload []byte) error {
 	if l == nil {
 		return nil
 	}
-	frame := make([]byte, payloadHeaderSize+len(payload))
-	frame[0] = recordMagic
-	binary.BigEndian.PutUint32(frame[12:16], uint32(len(payload)))
-	h := fnv.New32a()
-	h.Write(payload)
-	binary.BigEndian.PutUint32(frame[16:20], h.Sum32())
-	copy(frame[payloadHeaderSize:], payload)
-	return l.append(frame, 4)
+	_, err := l.append(payload, l.policy == SyncGroup)
+	return err
 }
 
 // AppendRecordAsync writes one framed record like AppendRecord but never
@@ -254,41 +228,7 @@ func (l *Log) AppendRecordAsync(payload []byte) (uint64, error) {
 	if l == nil {
 		return 0, nil
 	}
-	frame := make([]byte, payloadHeaderSize+len(payload))
-	frame[0] = recordMagic
-	binary.BigEndian.PutUint32(frame[12:16], uint32(len(payload)))
-	h := fnv.New32a()
-	h.Write(payload)
-	binary.BigEndian.PutUint32(frame[16:20], h.Sum32())
-	copy(frame[payloadHeaderSize:], payload)
-
-	l.mu.Lock()
-	if err := l.failErr; err != nil {
-		l.mu.Unlock()
-		return 0, err
-	}
-	seq := l.seq.Add(1)
-	binary.BigEndian.PutUint64(frame[4:12], seq)
-	if l.policy == SyncNone {
-		// Write through, as AppendRecord would: the verdict is synchronous.
-		err := writeAll(l.w, frame)
-		l.failErr = err
-		if err == nil {
-			l.durable.Store(seq)
-		}
-		l.mu.Unlock()
-		if err != nil {
-			return 0, err
-		}
-	} else {
-		l.buf = append(l.buf, frame...)
-		l.mu.Unlock()
-	}
-	l.records.Add(1)
-	if l.policy == SyncNone {
-		l.bytes.Add(uint64(len(frame)))
-	}
-	return seq, nil
+	return l.append(payload, false)
 }
 
 // Flush forces buffered records to the sink and returns the write verdict,
@@ -322,56 +262,54 @@ func (l *Log) DurableLSN() uint64 {
 	return l.durable.Load()
 }
 
-// append routes one encoded record through the configured sync policy.
-// seqOff is the header offset of the 8-byte sequence field, stamped under
-// l.mu so that buffer order and sequence order always agree (the checksum
-// covers only the payload, so late stamping is safe).
-func (l *Log) append(rec []byte, seqOff int) error {
-	if l.policy != SyncGroup {
-		if l.policy == SyncNone {
-			// Write through; nothing batches and nobody waits, but the
-			// write's verdict is the caller's durability verdict.
-			l.mu.Lock()
-			err := l.failErr
-			if err == nil {
-				seq := l.seq.Add(1)
-				binary.BigEndian.PutUint64(rec[seqOff:seqOff+8], seq)
-				err = writeAll(l.w, rec)
-				l.failErr = err
-				if err == nil {
-					l.durable.Store(seq)
-				}
-			}
-			l.mu.Unlock()
-			if err != nil {
-				return err
-			}
-			l.records.Add(1)
-			l.bytes.Add(uint64(len(rec)))
-			return nil
-		}
-		l.mu.Lock()
-		err := l.failErr
-		if err == nil {
-			binary.BigEndian.PutUint64(rec[seqOff:seqOff+8], l.seq.Add(1))
-			l.buf = append(l.buf, rec...)
-			l.records.Add(1)
-		}
-		l.mu.Unlock()
-		return err // SyncAsync: the background flusher drains the buffer
-	}
+// append frames payload and routes it through the sync policy. The
+// sequence number is stamped under l.mu so that buffer order and sequence
+// order always agree (the checksum covers only the payload, so late
+// stamping is safe). SyncNone writes through, and the write's verdict is
+// the caller's. Otherwise the frame joins the open generation; with wait
+// set the caller then waits for that generation's flush verdict (group
+// commit), and without it the background flusher or a later flush carries
+// the bytes.
+func (l *Log) append(payload []byte, wait bool) (uint64, error) {
+	frame := make([]byte, PayloadHeaderSize+len(payload))
+	frame[0] = recordMagic
+	binary.BigEndian.PutUint32(frame[12:16], uint32(len(payload)))
+	h := fnv.New32a()
+	h.Write(payload)
+	binary.BigEndian.PutUint32(frame[16:20], h.Sum32())
+	copy(frame[PayloadHeaderSize:], payload)
 
 	l.mu.Lock()
 	if err := l.failErr; err != nil {
 		l.mu.Unlock()
-		return err
+		return 0, err
 	}
-	binary.BigEndian.PutUint64(rec[seqOff:seqOff+8], l.seq.Add(1))
-	l.buf = append(l.buf, rec...)
+	seq := l.seq.Add(1)
+	binary.BigEndian.PutUint64(frame[4:12], seq)
+	if l.policy == SyncNone {
+		err := writeAll(l.w, frame)
+		l.failErr = err
+		if err == nil {
+			l.durable.Store(seq)
+		}
+		l.mu.Unlock()
+		if err != nil {
+			return 0, err
+		}
+		l.records.Add(1)
+		l.bytes.Add(uint64(len(frame)))
+		return seq, nil
+	}
+	l.buf = append(l.buf, frame...)
 	l.records.Add(1)
+	if !wait {
+		l.mu.Unlock()
+		return seq, nil
+	}
+
 	g := l.gen
 	if g.count.Add(1) == 2 {
-		close(g.grown) // wake the backstop leader's straggler watch
+		close(g.grown) // wake the leader's straggler watch
 	}
 	deadline := l.lastSeal.Add(l.interval)
 	if !time.Now().Before(deadline) {
@@ -380,7 +318,7 @@ func (l *Log) append(rec []byte, seqOff int) error {
 		l.sealLocked()
 		l.mu.Unlock()
 		l.complete(g)
-		return g.err
+		return seq, g.err
 	}
 	lead := !g.paced
 	if lead {
@@ -389,14 +327,13 @@ func (l *Log) append(rec []byte, seqOff int) error {
 	l.mu.Unlock()
 
 	if lead {
-		return l.lead(g, deadline)
+		return seq, l.lead(g, deadline)
 	}
-	select {
-	case <-g.done:
-		return g.err
-	case <-l.stop:
-	}
-	return nil
+	// Every sealed generation is completed by whoever sealed it (its
+	// leader, an inline seal, Flush or Close), so done always closes and
+	// err is the real write verdict.
+	<-g.done
+	return seq, g.err
 }
 
 // leadSpinWindow bounds how much of the lone leader's interval wait runs as
@@ -452,14 +389,10 @@ func (l *Log) lead(g *flushGen, deadline time.Time) error {
 	}
 	if l.sealIfOpen(g) {
 		l.complete(g)
-		return g.err
+	} else {
+		<-g.done
 	}
-	select {
-	case <-g.done:
-		return g.err
-	case <-l.stop:
-	}
-	return nil
+	return g.err
 }
 
 // sealLocked seals the open generation: it takes ownership of the buffered
@@ -557,8 +490,10 @@ func (l *Log) flushNow() {
 	l.complete(g)
 }
 
-// Close stops background work after a final flush and releases any
-// group-commit waiters. It is idempotent.
+// Close stops background work after a final flush. Group-commit waiters
+// parked in the flushed generation receive that flush's verdict, so a
+// commit whose record failed to reach the sink is never acknowledged. It is
+// idempotent.
 func (l *Log) Close() {
 	if l == nil || l.policy == SyncNone {
 		return
@@ -571,7 +506,8 @@ func (l *Log) Close() {
 	l.flushNow()
 }
 
-// Records returns the number of appended commit records.
+// Records returns the number of framed records appended — update, commit
+// and checkpoint records alike — not counting appends the log refused.
 func (l *Log) Records() uint64 {
 	if l == nil {
 		return 0
@@ -596,48 +532,38 @@ func (l *Log) Bytes() uint64 {
 }
 
 // ErrTorn reports that a log ended in a torn (incomplete or checksum-corrupt)
-// record, as a crash mid-write leaves behind. ReadRecords returns it together
+// record, as a crash mid-write leaves behind. ScanRecords returns it together
 // with every complete record that precedes the tear.
 var ErrTorn = errors.New("wal: torn record at end of log")
 
-// ReadRecords decodes a log written with AppendRecord. It returns every
-// complete, checksum-valid record in append order. A torn tail — the normal
-// residue of a crash between or during sink writes — yields ErrTorn alongside
-// the intact prefix; any malformation that cannot be a simple tear (bad magic
-// with more data following, out-of-order sequence numbers) is a hard error,
-// because it means the prefix itself cannot be trusted.
-func ReadRecords(r io.Reader) ([]Record, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	recs, _, err := ScanRecords(data)
-	return recs, err
-}
-
-// ScanRecords is ReadRecords over in-memory bytes; it additionally returns
-// the byte length of the clean prefix — everything before the first tear.
-// Recovery truncates the log file to that length before reopening it for
-// appends, so a later replay never runs into mid-file torn garbage.
+// ScanRecords decodes a log written with AppendRecord. It returns every
+// complete, checksum-valid record in append order, and the byte length of
+// the clean prefix — everything before the first tear. A torn tail — the
+// normal residue of a crash between or during sink writes — yields ErrTorn
+// alongside the intact prefix; any malformation that cannot be a simple
+// tear (bad magic with more data following, out-of-order sequence numbers)
+// is a hard error, because it means the prefix itself cannot be trusted.
+// Recovery truncates the log file to the clean prefix before reopening it
+// for appends, so a later replay never runs into mid-file torn garbage.
 func ScanRecords(data []byte) ([]Record, int, error) {
 	var recs []Record
 	off := 0
 	var lastSeq uint64
 	for off < len(data) {
-		if len(data)-off < payloadHeaderSize {
+		if len(data)-off < PayloadHeaderSize {
 			return recs, off, ErrTorn
 		}
-		hdr := data[off : off+payloadHeaderSize]
+		hdr := data[off : off+PayloadHeaderSize]
 		if hdr[0] != recordMagic {
 			return recs, off, fmt.Errorf("wal: bad record magic 0x%02x at offset %d", hdr[0], off)
 		}
 		seq := binary.BigEndian.Uint64(hdr[4:12])
 		plen := int(binary.BigEndian.Uint32(hdr[12:16]))
 		sum := binary.BigEndian.Uint32(hdr[16:20])
-		if len(data)-off-payloadHeaderSize < plen {
+		if len(data)-off-PayloadHeaderSize < plen {
 			return recs, off, ErrTorn
 		}
-		payload := data[off+payloadHeaderSize : off+payloadHeaderSize+plen]
+		payload := data[off+PayloadHeaderSize : off+PayloadHeaderSize+plen]
 		h := fnv.New32a()
 		h.Write(payload)
 		if h.Sum32() != sum {
@@ -648,7 +574,7 @@ func ScanRecords(data []byte) ([]Record, int, error) {
 		}
 		lastSeq = seq
 		recs = append(recs, Record{Seq: seq, Payload: payload})
-		off += payloadHeaderSize + plen
+		off += PayloadHeaderSize + plen
 	}
 	return recs, off, nil
 }

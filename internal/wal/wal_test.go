@@ -9,10 +9,16 @@ import (
 	"time"
 )
 
+// commitFrameSize is the sink footprint of one framed commit record.
+var commitFrameSize = PayloadHeaderSize + len(EncodeCommit(0))
+
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
-	if err := l.Append(3); err != nil {
+	if err := l.AppendRecord(EncodeCommit(3)); err != nil {
 		t.Fatal(err)
+	}
+	if seq, err := l.AppendRecordAsync(EncodeCommit(3)); seq != 0 || err != nil {
+		t.Fatalf("nil async append: seq=%d err=%v", seq, err)
 	}
 	l.Close()
 	if l.Records() != 0 || l.Flushes() != 0 || l.Bytes() != 0 {
@@ -28,7 +34,9 @@ func TestSyncNoneNeverWaits(t *testing.T) {
 	defer l.Close()
 	start := time.Now()
 	for i := 0; i < 1000; i++ {
-		l.Append(1)
+		if err := l.AppendRecord(EncodeCommit(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if d := time.Since(start); d > 100*time.Millisecond {
 		t.Fatalf("SyncNone appends took %v", d)
@@ -52,10 +60,12 @@ func TestSyncGroupFlushesAndReleases(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {
 		wg.Add(1)
-		go func() {
+		go func(id uint64) {
 			defer wg.Done()
-			l.Append(2)
-		}()
+			if err := l.AppendRecord(EncodeCommit(id)); err != nil {
+				t.Error(err)
+			}
+		}(uint64(i))
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -75,8 +85,8 @@ func TestSyncGroupFlushesAndReleases(t *testing.T) {
 	mu.Lock()
 	n := buf.Len()
 	mu.Unlock()
-	if n != 20*recordHeaderSize {
-		t.Fatalf("flushed bytes = %d, want %d", n, 20*recordHeaderSize)
+	if n != 20*commitFrameSize {
+		t.Fatalf("flushed bytes = %d, want %d", n, 20*commitFrameSize)
 	}
 }
 
@@ -84,13 +94,15 @@ func TestSyncAsyncDoesNotBlock(t *testing.T) {
 	l := New(Options{Policy: SyncAsync, GroupInterval: time.Millisecond})
 	start := time.Now()
 	for i := 0; i < 100; i++ {
-		l.Append(1)
+		if err := l.AppendRecord(EncodeCommit(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if d := time.Since(start); d > 50*time.Millisecond {
 		t.Fatalf("SyncAsync appends blocked: %v", d)
 	}
 	l.Close() // final flush
-	if l.Bytes() != 100*recordHeaderSize {
+	if l.Bytes() != uint64(100*commitFrameSize) {
 		t.Fatalf("bytes = %d", l.Bytes())
 	}
 }
@@ -153,7 +165,7 @@ func TestGroupCommitWriteErrorPropagates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- l.Append(1)
+			errs <- l.AppendRecord(EncodeCommit(1))
 		}()
 	}
 	wg.Wait()
@@ -164,8 +176,33 @@ func TestGroupCommitWriteErrorPropagates(t *testing.T) {
 		}
 	}
 	// The device failure is sticky: later appends fail immediately.
-	if err := l.Append(1); err == nil {
+	if err := l.AppendRecord(EncodeCommit(1)); err == nil {
 		t.Fatal("append succeeded on a failed log")
+	}
+}
+
+// TestCloseNeverAcksFailedFlush is the regression test for waiters parked
+// in a generation that Close flushes: they used to return nil as soon as
+// Close signalled shutdown, acknowledging commits whose final flush then
+// failed. The first append seals inline (a fresh log is past its deadline)
+// and reaches the sink; the second parks behind the long interval, so only
+// Close's flush can carry its record, and that flush hits a dead device.
+func TestCloseNeverAcksFailedFlush(t *testing.T) {
+	for trial := 0; trial < 200; trial++ {
+		var buf bytes.Buffer
+		l := New(Options{Policy: SyncGroup, GroupInterval: 10 * time.Second, W: failAfter(commitFrameSize, &buf)})
+		if err := l.AppendRecord(EncodeCommit(1)); err != nil {
+			t.Fatalf("trial %d: first append: %v", trial, err)
+		}
+		errc := make(chan error, 1)
+		go func() { errc <- l.AppendRecord(EncodeCommit(2)) }()
+		for l.Records() < 2 {
+			time.Sleep(10 * time.Microsecond)
+		}
+		l.Close()
+		if err := <-errc; !errors.Is(err, errDevice) {
+			t.Fatalf("trial %d: parked appender got %v after Close's failed flush, want %v", trial, err, errDevice)
+		}
 	}
 }
 
@@ -174,15 +211,15 @@ func TestGroupCommitWriteErrorPropagates(t *testing.T) {
 // must refuse all further appends.
 func TestSyncNoneWriteErrorFailsAppend(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(Options{Policy: SyncNone, W: failAfter(recordHeaderSize+4, &buf)})
+	l := New(Options{Policy: SyncNone, W: failAfter(commitFrameSize+4, &buf)})
 	defer l.Close()
-	if err := l.Append(1); err != nil {
+	if err := l.AppendRecord(EncodeCommit(1)); err != nil {
 		t.Fatalf("first append: %v", err)
 	}
-	if err := l.Append(1); err == nil {
+	if err := l.AppendRecord(EncodeCommit(2)); err == nil {
 		t.Fatal("append with torn write acknowledged")
 	}
-	if err := l.Append(1); err == nil {
+	if err := l.AppendRecord(EncodeCommit(3)); err == nil {
 		t.Fatal("append on failed log acknowledged")
 	}
 	if got := l.Records(); got != 1 {
@@ -202,7 +239,7 @@ func TestAppendRecordRoundTrip(t *testing.T) {
 		}
 	}
 	l.Close()
-	recs, err := ReadRecords(bytes.NewReader(buf.Bytes()))
+	recs, _, err := ScanRecords(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +256,10 @@ func TestAppendRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadRecordsTornTail checks crash-recovery parsing: a log cut anywhere
+// TestScanRecordsTornTail checks crash-recovery parsing: a log cut anywhere
 // inside the final record yields the complete prefix plus ErrTorn, never a
 // corrupted record.
-func TestReadRecordsTornTail(t *testing.T) {
+func TestScanRecordsTornTail(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(Options{Policy: SyncNone, W: &buf})
 	if err := l.AppendRecord([]byte("first")); err != nil {
@@ -233,9 +270,9 @@ func TestReadRecordsTornTail(t *testing.T) {
 	}
 	l.Close()
 	whole := buf.Bytes()
-	firstLen := payloadHeaderSize + len("first")
+	firstLen := PayloadHeaderSize + len("first")
 	for cut := firstLen; cut < len(whole); cut++ {
-		recs, err := ReadRecords(bytes.NewReader(whole[:cut]))
+		recs, clean, err := ScanRecords(whole[:cut])
 		if cut == firstLen {
 			if err != nil {
 				t.Fatalf("cut %d: clean boundary returned %v", cut, err)
@@ -243,15 +280,15 @@ func TestReadRecordsTornTail(t *testing.T) {
 		} else if err != ErrTorn {
 			t.Fatalf("cut %d: err = %v, want ErrTorn", cut, err)
 		}
-		if len(recs) != 1 || !bytes.Equal(recs[0].Payload, []byte("first")) {
-			t.Fatalf("cut %d: surviving prefix = %v", cut, recs)
+		if len(recs) != 1 || !bytes.Equal(recs[0].Payload, []byte("first")) || clean != firstLen {
+			t.Fatalf("cut %d: surviving prefix = %v, clean length %d", cut, recs, clean)
 		}
 	}
 }
 
-// TestReadRecordsRejectsCorruption checks that bit rot inside a record body
+// TestScanRecordsRejectsCorruption checks that bit rot inside a record body
 // is caught by the checksum rather than silently replayed.
-func TestReadRecordsRejectsCorruption(t *testing.T) {
+func TestScanRecordsRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(Options{Policy: SyncNone, W: &buf})
 	if err := l.AppendRecord([]byte("payload-to-corrupt")); err != nil {
@@ -259,8 +296,8 @@ func TestReadRecordsRejectsCorruption(t *testing.T) {
 	}
 	l.Close()
 	img := append([]byte(nil), buf.Bytes()...)
-	img[payloadHeaderSize+3] ^= 0x40 // flip one payload bit
-	if _, err := ReadRecords(bytes.NewReader(img)); err == nil {
+	img[PayloadHeaderSize+3] ^= 0x40 // flip one payload bit
+	if _, _, err := ScanRecords(img); err == nil {
 		t.Fatal("corrupted record replayed without error")
 	}
 }
@@ -269,7 +306,7 @@ func TestReadRecordsRejectsCorruption(t *testing.T) {
 // deliberately slow sink guarantees that while one generation's bytes are
 // being written, appenders fill and seal the next. The replayed log must
 // contain every acknowledged record exactly once with strictly sequential
-// numbers — ReadRecords hard-errors on any sequence jump, so an out-of-order
+// numbers — ScanRecords hard-errors on any sequence jump, so an out-of-order
 // or duplicated sink write cannot pass. The unguarded buffer also lets the
 // race detector verify that the generation chain alone serializes writers.
 func TestPipelinedCommitOrdering(t *testing.T) {
@@ -299,7 +336,7 @@ func TestPipelinedCommitOrdering(t *testing.T) {
 	wg.Wait()
 	l.Close()
 
-	recs, err := ReadRecords(bytes.NewReader(buf.Bytes()))
+	recs, _, err := ScanRecords(buf.Bytes())
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}

@@ -71,20 +71,25 @@ go test -race -count=1 -run 'TestSynthRoundTrip|TestScheduleConformance' ./inter
 
 echo "==> isolation conformance & crash recovery (-race, fixed seed)"
 # Deterministic differential-oracle harness for the three personalities plus
-# the WAL kill-point sweep. CONSISTENCY_SEED=<n> reseeds the run; add
-# -consistency.long for the ~10x soak shape.
+# both arms of the one crash harness (RAM log sweep, disk recovery sweep).
+# CONSISTENCY_SEED=<n> reseeds the run; add -consistency.long for the ~10x
+# soak shape.
 go test -race -count=1 ./internal/consistency/
 
-echo "==> disk full-recovery torture (-race): kill sweep over WAL + page writes"
-# The disk-backed engine's durability gate: one byte budget meters WAL
-# appends and heap page flushes together, and the sweep kills the stream at
-# >= 15 points — evenly spaced, mid-WAL-frame, mid-page-flush, and
-# mid-checkpoint tears. Every kill must recover to an image honoring
-# acked <= winners <= acked+uncertain byte-exactly, with every device page
-# passing Verify and the recovered engine passing the conformance oracle.
-# Named explicitly (it also runs in the package pass above) so a durability
-# regression names itself here.
-go test -race -count=1 -run 'TestDiskCrash' ./internal/consistency/
+echo "==> crash torture (-race): RAM log sweep + disk full-recovery sweep"
+# The durability gate, both arms of the one crash harness. A byte budget
+# meters every durable write. The RAM arm (TestCrash*) sweeps a gomvcc log
+# at 15 budgets plus mid-frame variants under a kill, a short write and
+# ENOSPC, write-through and group commit: acked = winners exactly under
+# write-through, and no commit is acked after one failed. The disk arm
+# (TestDiskCrash*) meters WAL appends and heap page flushes together and
+# kills the stream at >= 15 points — evenly spaced, mid-WAL-frame,
+# mid-page-flush, and mid-checkpoint tears. Every kill must honor
+# acked <= winners <= acked+uncertain with byte-exact rows; disk kills must
+# also recover with every device page passing Verify and the recovered
+# engine passing the conformance oracle. Named explicitly (it also runs in
+# the package pass above) so a durability regression names itself here.
+go test -race -count=1 -run 'TestCrash|TestDiskCrash' ./internal/consistency/
 
 echo "==> go test -race storage stress (striped store + online vacuum)"
 go test -race -count=1 -run 'TestStorageStressConcurrent' ./internal/sqldb/txn/
