@@ -14,8 +14,12 @@ const tinyScale = 0.02
 
 // TestEveryBenchmarkLoadsAndRuns is the suite-wide integration test: every
 // registered benchmark must create its schema, load at a small scale, and
-// sustain a short open-loop run on the MVCC engine with zero errors.
+// sustain a short open-loop run on the MVCC engine with zero errors. The run
+// lasts at least minRun and then until every positive-weight transaction
+// type has run once, so a rare type on a loaded machine gets its turn; only
+// a type still missing at maxRun fails.
 func TestEveryBenchmarkLoadsAndRuns(t *testing.T) {
+	const minRun, maxRun = 400 * time.Millisecond, 10 * time.Second
 	for _, name := range core.BenchmarkNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -32,9 +36,9 @@ func TestEveryBenchmarkLoadsAndRuns(t *testing.T) {
 			if err := core.Prepare(b, db, 42); err != nil {
 				t.Fatal(err)
 			}
-			m := core.NewManager(b, db, []core.Phase{{Duration: 400 * time.Millisecond, Rate: 0}},
+			m := core.NewManager(b, db, []core.Phase{{Duration: maxRun, Rate: 0}},
 				core.Options{Terminals: 4, Seed: 7})
-			if err := m.Run(context.Background()); err != nil {
+			if err := runUntilEveryTypeRan(m, b.DefaultMix(), minRun); err != nil {
 				t.Fatal(err)
 			}
 			c := m.Collector()
@@ -54,6 +58,35 @@ func TestEveryBenchmarkLoadsAndRuns(t *testing.T) {
 			}
 		})
 	}
+}
+
+// runUntilEveryTypeRan runs m for at least minRun, then stops it once every
+// type with positive weight in mix has committed; m's phases are the cap.
+func runUntilEveryTypeRan(m *core.Manager, mix []float64, minRun time.Duration) error {
+	errc := make(chan error, 1)
+	go func() { errc <- m.Run(context.Background()) }()
+	tick := time.NewTicker(20 * time.Millisecond)
+	defer tick.Stop()
+	start := time.Now()
+	for {
+		select {
+		case err := <-errc:
+			return err
+		case <-tick.C:
+			if time.Since(start) >= minRun && everyTypeRan(mix, m.Collector().Snapshot().TypeCounts) {
+				m.Stop()
+			}
+		}
+	}
+}
+
+func everyTypeRan(mix []float64, counts []int64) bool {
+	for i, w := range mix {
+		if w > 0 && counts[i] == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestEveryBenchmarkOnAllEngines runs each benchmark briefly on all three

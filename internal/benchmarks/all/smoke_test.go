@@ -1,7 +1,6 @@
 package all
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -37,8 +36,10 @@ var smokeTable = []struct {
 
 // TestSmokeAllBenchmarks loads every port at tiny scale on the MVCC engine
 // and drives a short open-loop run under a uniform mixture, so each
-// procedure - including ones with tiny default weights - executes. The gate:
-// zero procedure errors and a non-zero committed count for every procedure.
+// procedure - including ones with tiny default weights - executes. The run
+// lasts at least 500 ms and then until every procedure has committed (10 s
+// cap). The gate: zero procedure errors and a non-zero committed count for
+// every procedure.
 func TestSmokeAllBenchmarks(t *testing.T) {
 	registered := map[string]bool{}
 	for _, name := range core.BenchmarkNames() {
@@ -69,14 +70,13 @@ func TestSmokeAllBenchmarks(t *testing.T) {
 			if err := core.Prepare(b, db, 42); err != nil {
 				t.Fatal(err)
 			}
-			m := core.NewManager(b, db, []core.Phase{{Duration: 500 * time.Millisecond, Rate: 0}},
-				core.Options{Terminals: 4, Seed: 7})
 			uniform := make([]float64, tc.procs)
 			for i := range uniform {
 				uniform[i] = 1
 			}
-			m.SetMix(uniform)
-			if err := m.Run(context.Background()); err != nil {
+			m := core.NewManager(b, db, []core.Phase{{Duration: 10 * time.Second, Rate: 0, Mix: uniform}},
+				core.Options{Terminals: 4, Seed: 7})
+			if err := runUntilEveryTypeRan(m, uniform, 500*time.Millisecond); err != nil {
 				t.Fatal(err)
 			}
 			c := m.Collector()

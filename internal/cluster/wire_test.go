@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/hex"
 	"io"
 	"reflect"
 	"testing"
@@ -204,6 +205,33 @@ func TestEngineResultRoundTrip(t *testing.T) {
 	}
 	if len(got.Rows) != 2 || got.Rows[0][1].Str() != "a" || !got.Rows[1][1].IsNull() {
 		t.Fatalf("rows mismatch: %+v", got.Rows)
+	}
+}
+
+// TestEngineResultTimeRow pins the wire bytes of KindTime values (a UnixNano
+// varint, whatever the time's location): a coordinator and a worker built
+// from different commits must agree on them.
+func TestEngineResultTimeRow(t *testing.T) {
+	moon := time.Date(1969, 7, 20, 20, 17, 40, 123456789, time.UTC)
+	row := []sqlval.Value{
+		sqlval.NewTime(moon),
+		sqlval.NewTime(moon.In(time.FixedZone("UTC-7", -7*3600))),
+		sqlval.NewTime(time.Unix(0, 1723111222333444555)),
+	}
+	p := encodeEngineResult(&exec.Result{Columns: []string{"t"}, Rows: [][]sqlval.Value{row}})
+	const want = "010174010305d5abb2d3e0d3b13205d5abb2d3e0d3b1320596c7e4badfa1dce92f0000"
+	if got := hex.EncodeToString(p); got != want {
+		t.Fatalf("encoded result %s, want %s", got, want)
+	}
+	got, err := decodeEngineResult(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != 1 || sqlval.CompareRows(got.Rows[0], row) != 0 {
+		t.Fatalf("rows %v, want %v", got.Rows, row)
+	}
+	if !got.Rows[0][1].Time().Equal(moon) {
+		t.Fatalf("decoded time %v, want %v", got.Rows[0][1].Time(), moon)
 	}
 }
 

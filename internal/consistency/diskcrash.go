@@ -735,10 +735,11 @@ func RecoverDiskCrash(res *CrashResult, poolPages int) (*sqldb.Engine, error) {
 
 // VerifyDiskCrash checks a recovered engine against the durability contract
 // of the attempts that produced its disk image (pass cumulative attempts for
-// chained runs): the recovery winners satisfy checkAttempts, the recovered
-// table holds exactly the winners' writes replayed in order, value- and
-// pad-byte-exact, and every page of the recovered device verifies
-// (recovery reformatted and rebuilt any torn page from the log).
+// chained runs): the recovery winners satisfy checkAttempts, every failed
+// commit wraps the fault (ErrKilled), the recovered table holds exactly the
+// winners' writes replayed in order, value- and pad-byte-exact, and every
+// page of the recovered device verifies (recovery reformatted and rebuilt
+// any torn page from the log).
 func VerifyDiskCrash(res *CrashResult, attempts []CommitAttempt, eng *sqldb.Engine) error {
 	rec := eng.DiskRecovery()
 	if rec == nil {
@@ -748,9 +749,7 @@ func VerifyDiskCrash(res *CrashResult, attempts []CommitAttempt, eng *sqldb.Engi
 	for _, id := range rec.Winners {
 		winners[id] = true
 	}
-	// No fault check: after a failed commit the disk engine fails later
-	// commits on its own bookkeeping before they reach the dead log.
-	if err := checkAttempts(attempts, winners, false, nil); err != nil {
+	if err := checkAttempts(attempts, winners, false, res.fault.err()); err != nil {
 		return err
 	}
 	rows, err := readCrashRows(eng)

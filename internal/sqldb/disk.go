@@ -43,7 +43,9 @@ import (
 // Known bounds, documented rather than hidden: the log is not garbage
 // collected (checkpoints bound redo work, not file size), a single row image
 // must fit one page, and a device write failure after the commit record is
-// durable surfaces as a commit error even though recovery would replay it.
+// durable surfaces as a commit error even though recovery would replay it;
+// the store then fails every later commit with that error, since its pages
+// no longer match the rows in memory.
 
 // diskCatalogTable is the reserved heap table id for catalog records (the
 // JSON-serialized schema of one table each).
@@ -103,6 +105,27 @@ type diskStore struct {
 	commits     int
 	ckptEvery   int
 	recovery    *heap.RecoveryResult
+	undo        commitUndo
+	failed      error // sticky: a commit failed after the log held it
+}
+
+// commitUndo journals what planning one commit changed in the allocator and
+// the row-to-slot maps, so a commit that fails before its log verdict is
+// known leaves them describing the rows in memory. onCommit resets it under
+// ds.mu before planning; what DDL journals between commits is never read.
+type commitUndo struct {
+	allocLen   int
+	nextPageID uint32
+	pages      []pageAlloc // pre-images, in mutation order
+	rows       []rowUndo
+}
+
+// rowUndo is one row-map entry before a commit's planning changed it.
+type rowUndo struct {
+	dt     *diskTable
+	row    storage.RowID
+	rid    heapRID
+	mapped bool
 }
 
 // diskSchema is the serialized form of one table's schema, stored as a
@@ -465,6 +488,7 @@ func (ds *diskStore) place(n int) (heapRID, error) {
 	for i := range ds.alloc {
 		a := &ds.alloc[i]
 		if a.free >= need && a.nextSlot < 0xFFFF {
+			ds.savePage(i)
 			rid := heapRID{page: a.id, slot: uint16(a.nextSlot)}
 			a.nextSlot++
 			a.free -= need
@@ -481,7 +505,7 @@ func (ds *diskStore) place(n int) (heapRID, error) {
 // planUpdate plans a record replacement at rid: in place when the page can
 // absorb the growth, otherwise a delete plus a relocated insert.
 func (ds *diskStore) planUpdate(rid heapRID, oldRec, newRec []byte) ([]diskOp, heapRID, error) {
-	a := &ds.alloc[ds.allocIdx[rid.page]]
+	a := ds.savePage(ds.allocIdx[rid.page])
 	delta := len(newRec) - len(oldRec)
 	if delta <= a.free {
 		a.free -= delta
@@ -496,6 +520,44 @@ func (ds *diskStore) planUpdate(rid heapRID, oldRec, newRec []byte) ([]diskOp, h
 		{rid: rid, before: oldRec},
 		{rid: newRid, after: newRec},
 	}, newRid, nil
+}
+
+// savePage journals the pre-image of alloc[i] and returns the entry. Pages
+// the commit appended need no pre-image: undo drops them.
+func (ds *diskStore) savePage(i int) *pageAlloc {
+	if u := &ds.undo; i < u.allocLen {
+		u.pages = append(u.pages, ds.alloc[i])
+	}
+	return &ds.alloc[i]
+}
+
+// saveRow journals dt's row-map entry for row before a commit's planning
+// changes it.
+func (ds *diskStore) saveRow(dt *diskTable, row storage.RowID) {
+	rid, mapped := dt.rids[row]
+	ds.undo.rows = append(ds.undo.rows, rowUndo{dt: dt, row: row, rid: rid, mapped: mapped})
+}
+
+// undoPlan restores the allocator and row maps to their state before the
+// commit being planned, newest change first.
+func (ds *diskStore) undoPlan() {
+	u := &ds.undo
+	for i := len(u.rows) - 1; i >= 0; i-- {
+		r := u.rows[i]
+		if r.mapped {
+			r.dt.rids[r.row] = r.rid
+		} else {
+			delete(r.dt.rids, r.row)
+		}
+	}
+	for i := len(u.pages) - 1; i >= 0; i-- {
+		ds.alloc[ds.allocIdx[u.pages[i].id]] = u.pages[i]
+	}
+	for _, a := range ds.alloc[u.allocLen:] {
+		delete(ds.allocIdx, a.id)
+	}
+	ds.alloc = ds.alloc[:u.allocLen]
+	ds.nextPageID = u.nextPageID
 }
 
 // logOps appends one update record per op (async) and returns only once all
@@ -562,7 +624,9 @@ func (ds *diskStore) maybeCheckpointLocked() error {
 // onCommit is the disk engine's durability hook: log the transaction's slot
 // images, await the commit record (whose verdict covers the batch), then
 // apply the images to heap pages. Runs under ds.mu, so commits apply in
-// commit order and the dirty page table snapshots are exact.
+// commit order and the dirty page table snapshots are exact. A commit that
+// fails before its verdict is known undoes its planning; one that fails
+// after it leaves the store failed.
 func (ds *diskStore) onCommit(t *txn.Txn) error {
 	writes := t.WriteSet()
 	if len(writes) == 0 {
@@ -570,59 +634,85 @@ func (ds *diskStore) onCommit(t *txn.Txn) error {
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
+	if ds.failed != nil {
+		return ds.failed
+	}
 
+	u := &ds.undo
+	u.allocLen, u.nextPageID = len(ds.alloc), ds.nextPageID
+	u.pages, u.rows = u.pages[:0], u.rows[:0]
+	ops, err := ds.planCommit(writes)
+	if err == nil {
+		err = ds.logOps(t.ID(), ops)
+	}
+	if err == nil {
+		// The awaited commit record: its group-commit verdict covers every
+		// update record above (sink writes happen in sequence order).
+		err = ds.log.AppendRecord(wal.EncodeCommit(t.ID()))
+	}
+	if err != nil {
+		ds.undoPlan()
+		return err
+	}
+	// The log now holds the commit but memory will abort it if this fails,
+	// so a failure here cannot be undone.
+	if err := ds.applyOps(ops); err != nil {
+		ds.failed = fmt.Errorf("sqldb: disk heap no longer matches memory: %w", err)
+		return ds.failed
+	}
+	if err := ds.maybeCheckpointLocked(); err != nil {
+		ds.failed = fmt.Errorf("sqldb: disk checkpoint after a logged commit: %w", err)
+		return ds.failed
+	}
+	return nil
+}
+
+// planCommit turns a write set into slot ops, placing inserts and moving the
+// row-to-slot maps; the changes are journaled in ds.undo.
+func (ds *diskStore) planCommit(writes []txn.WriteRec) ([]diskOp, error) {
 	ops := make([]diskOp, 0, len(writes))
 	for _, w := range writes {
 		dt, ok := ds.byName[strings.ToLower(w.Table)]
 		if !ok {
-			return fmt.Errorf("sqldb: commit touches unknown disk table %q", w.Table)
+			return nil, fmt.Errorf("sqldb: commit touches unknown disk table %q", w.Table)
 		}
 		switch w.Kind {
 		case txn.WriteInsert:
 			rec := encodeHeapRec(dt.id, heap.EncodeRow(w.Data))
 			rid, err := ds.place(len(rec))
 			if err != nil {
-				return err
+				return nil, err
 			}
 			ops = append(ops, diskOp{rid: rid, after: rec})
+			ds.saveRow(dt, w.RowID)
 			dt.rids[w.RowID] = rid
 		case txn.WriteUpdate:
 			rid, ok := dt.rids[w.RowID]
 			if !ok {
-				return fmt.Errorf("sqldb: update of unmapped row %d in %q", w.RowID, w.Table)
+				return nil, fmt.Errorf("sqldb: update of unmapped row %d in %q", w.RowID, w.Table)
 			}
 			oldRec := encodeHeapRec(dt.id, heap.EncodeRow(w.Old))
 			newRec := encodeHeapRec(dt.id, heap.EncodeRow(w.Data))
 			uops, newRid, err := ds.planUpdate(rid, oldRec, newRec)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			ops = append(ops, uops...)
+			ds.saveRow(dt, w.RowID)
 			dt.rids[w.RowID] = newRid
 		case txn.WriteDelete:
 			rid, ok := dt.rids[w.RowID]
 			if !ok {
-				return fmt.Errorf("sqldb: delete of unmapped row %d in %q", w.RowID, w.Table)
+				return nil, fmt.Errorf("sqldb: delete of unmapped row %d in %q", w.RowID, w.Table)
 			}
 			rec := encodeHeapRec(dt.id, heap.EncodeRow(w.Data))
 			ops = append(ops, diskOp{rid: rid, before: rec})
-			ds.alloc[ds.allocIdx[rid.page]].free += len(rec)
+			ds.savePage(ds.allocIdx[rid.page]).free += len(rec)
+			ds.saveRow(dt, w.RowID)
 			delete(dt.rids, w.RowID)
 		}
 	}
-
-	if err := ds.logOps(t.ID(), ops); err != nil {
-		return err
-	}
-	// The awaited commit record: its group-commit verdict covers every
-	// update record above (sink writes happen in sequence order).
-	if err := ds.log.AppendRecord(wal.EncodeCommit(t.ID())); err != nil {
-		return err
-	}
-	if err := ds.applyOps(ops); err != nil {
-		return err
-	}
-	return ds.maybeCheckpointLocked()
+	return ops, nil
 }
 
 // logSystemOps logs ops under SystemTxnID (treated as always committed by

@@ -2,8 +2,12 @@ package sqldb
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 
+	"benchpress/internal/sqldb/storage/heap"
 	"benchpress/internal/sqldb/txn"
 	"benchpress/internal/wal"
 )
@@ -258,5 +262,63 @@ func TestDiskEngineGroupCommitPolicy(t *testing.T) {
 	}
 	if len(res.Rows) != 5 {
 		t.Fatalf("%d rows, want 5", len(res.Rows))
+	}
+}
+
+// TestDiskEngineFailedCommitUndoesPlanning: a commit that fails after its
+// inserts, updates and deletes were planned (here: a row too big for a page)
+// leaves the slot allocator and the row-to-slot map as they were, so later
+// commits of the same rows succeed and a restart sees exactly memory.
+func TestDiskEngineFailedCommitUndoesPlanning(t *testing.T) {
+	dir := t.TempDir()
+	e := openDiskEngine(t, dir, 8)
+	s := e.Session()
+	mustExec(t, s, `CREATE TABLE docs (id INT NOT NULL, body VARCHAR(8000), PRIMARY KEY (id))`)
+	for i := 1; i <= 5; i++ {
+		mustExec(t, s, "INSERT INTO docs (id, body) VALUES (?, ?)", i, fmt.Sprintf("doc %d", i))
+	}
+	ds := e.disk
+	ds.mu.Lock()
+	alloc := slices.Clone(ds.alloc)
+	nextPage := ds.nextPageID
+	rids := maps.Clone(ds.byName["docs"].rids)
+	ds.mu.Unlock()
+
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "DELETE FROM docs WHERE id = ?", 3)
+	mustExec(t, s, "UPDATE docs SET body = ? WHERE id = ?", strings.Repeat("u", 3000), 2)
+	mustExec(t, s, "INSERT INTO docs (id, body) VALUES (?, ?)", 6, "six")
+	mustExec(t, s, "INSERT INTO docs (id, body) VALUES (?, ?)", 7, strings.Repeat("x", heap.PageCapacity))
+	if _, err := s.Exec("COMMIT"); err == nil || !strings.Contains(err.Error(), "exceeds page capacity") {
+		t.Fatalf("COMMIT of an oversized row: %v, want a page-capacity error", err)
+	}
+
+	ds.mu.Lock()
+	if !slices.Equal(ds.alloc, alloc) || ds.nextPageID != nextPage || len(ds.allocIdx) != len(alloc) {
+		t.Errorf("allocator changed by a failed commit:\n got %+v (next page %d)\nwant %+v (next page %d)", ds.alloc, ds.nextPageID, alloc, nextPage)
+	}
+	if got := ds.byName["docs"].rids; !maps.Equal(got, rids) {
+		t.Errorf("row map changed by a failed commit: got %v, want %v", got, rids)
+	}
+	ds.mu.Unlock()
+
+	mustExec(t, s, "DELETE FROM docs WHERE id = ?", 3)
+	mustExec(t, s, "UPDATE docs SET body = ? WHERE id = ?", "two", 2)
+	mustExec(t, s, "INSERT INTO docs (id, body) VALUES (?, ?)", 6, "six")
+	e.Close()
+
+	e2 := openDiskEngine(t, dir, 8)
+	defer e2.Close()
+	res, err := e2.Session().Query("SELECT id, body FROM docs ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range res.Rows {
+		got = append(got, fmt.Sprintf("%d=%s", r[0].Int(), r[1].Str()))
+	}
+	want := []string{"1=doc 1", "2=two", "4=doc 4", "5=doc 5", "6=six"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("after restart: %v, want %v", got, want)
 	}
 }

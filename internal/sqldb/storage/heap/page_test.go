@@ -2,10 +2,12 @@ package heap
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"benchpress/internal/sqlval"
 )
@@ -127,6 +129,35 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		if _, err := DecodeRow(bad); err == nil {
 			t.Errorf("bad row %d decoded", i)
 		}
+	}
+}
+
+// TestRowCodecTimeRow pins the bytes of a KindTime row (UnixNano,
+// little-endian, whatever the time's location): heap pages and WAL images
+// written by earlier runs must decode to the same instants.
+func TestRowCodecTimeRow(t *testing.T) {
+	moon := time.Date(1969, 7, 20, 20, 17, 40, 123456789, time.UTC)
+	row := []sqlval.Value{
+		sqlval.NewTime(moon),
+		sqlval.NewTime(moon.In(time.FixedZone("UTC-7", -7*3600))),
+		sqlval.NewTime(time.Unix(0, 1723111222333444555)),
+		sqlval.NewFloat(-0.5),
+		sqlval.Null(),
+	}
+	const want = "05000515b5c9fab09ccdff0515b5c9fab09ccdff05cb91acfb86b8e91702000000000000e0bf00"
+	b := EncodeRow(row)
+	if got := hex.EncodeToString(b); got != want {
+		t.Fatalf("EncodeRow = %s, want %s", got, want)
+	}
+	got, err := DecodeRow(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sqlval.CompareRows(got, row) != 0 || !got[4].IsNull() {
+		t.Fatalf("DecodeRow = %v, want %v", got, row)
+	}
+	if !got[0].Time().Equal(moon) || got[0].Time().Nanosecond() != 123456789 {
+		t.Fatalf("decoded time %v, want %v", got[0].Time(), moon)
 	}
 }
 

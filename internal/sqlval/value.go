@@ -5,6 +5,18 @@
 // NULL sorts before everything and never compares equal to anything under
 // Equal (three-valued logic is handled by the executor); numeric kinds
 // (integer and float) compare with each other after widening.
+//
+// Every stored row version, index key and executor scratch row is a
+// []Value, so the layout is kept to 32 bytes: a string header, one 8-byte
+// word and the kind. The word holds an int, a bool as 0/1, a float's
+// IEEE-754 bits, or a timestamp's nanoseconds since the Unix epoch. Two
+// limits follow from the word, and both match what the heap row codec and
+// the cluster wire already stored:
+//
+//   - A timestamp is an instant, not a time.Time: Time returns it in UTC with
+//     no monotonic clock reading, and times in different locations with the
+//     same instant are the same value.
+//   - A timestamp must lie in the int64 nanosecond range, years 1678 to 2262.
 package sqlval
 
 import (
@@ -56,13 +68,12 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a single SQL value. The zero Value is NULL.
+// Value is a single SQL value. The zero Value is NULL. i holds every
+// non-string payload, decoded according to kind (see the package comment).
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
 	s    string
-	t    time.Time
+	i    int64
+	kind Kind
 }
 
 // Null returns the SQL NULL value.
@@ -72,7 +83,7 @@ func Null() Value { return Value{} }
 func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
 
 // NewFloat returns a float value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // NewString returns a string value.
 func NewString(v string) Value { return Value{kind: KindString, s: v} }
@@ -86,8 +97,9 @@ func NewBool(v bool) Value {
 	return Value{kind: KindBool, i: i}
 }
 
-// NewTime returns a timestamp value.
-func NewTime(v time.Time) Value { return Value{kind: KindTime, t: v} }
+// NewTime returns a timestamp value. Only the instant is kept (see the
+// package comment for its range).
+func NewTime(v time.Time) Value { return Value{kind: KindTime, i: v.UnixNano()} }
 
 // FromGo converts a native Go value into a Value. Supported inputs are nil,
 // all integer widths, float32/64, string, bool, time.Time, and Value itself.
@@ -153,12 +165,12 @@ func (v Value) Int() int64 {
 	case KindInt, KindBool:
 		return v.i
 	case KindFloat:
-		return int64(v.f)
+		return int64(v.float())
 	case KindString:
 		n, _ := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 		return n
 	case KindTime:
-		return v.t.UnixNano()
+		return v.i
 	default:
 		return 0
 	}
@@ -168,7 +180,7 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindInt, KindBool:
 		return float64(v.i)
 	case KindString:
@@ -193,19 +205,23 @@ func (v Value) Bool() bool {
 	case KindBool, KindInt:
 		return v.i != 0
 	case KindFloat:
-		return v.f != 0
+		return v.float() != 0
 	default:
 		return false
 	}
 }
 
-// Time returns the value as a time.Time (zero time if not a timestamp).
+// Time returns the value as a time.Time in UTC with no monotonic clock
+// reading (zero time if not a timestamp).
 func (v Value) Time() time.Time {
 	if v.kind == KindTime {
-		return v.t
+		return time.Unix(0, v.i).UTC()
 	}
 	return time.Time{}
 }
+
+// float decodes the word of a KindFloat value.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Go returns the value as a native Go value (nil, int64, float64, string,
 // bool, or time.Time).
@@ -216,13 +232,13 @@ func (v Value) Go() any {
 	case KindInt:
 		return v.i
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindString:
 		return v.s
 	case KindBool:
 		return v.i != 0
 	case KindTime:
-		return v.t
+		return v.Time()
 	default:
 		return nil
 	}
@@ -236,7 +252,7 @@ func (v Value) Format() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBool:
@@ -245,7 +261,7 @@ func (v Value) Format() string {
 		}
 		return "false"
 	case KindTime:
-		return v.t.UTC().Format("2006-01-02 15:04:05.000")
+		return v.Time().Format("2006-01-02 15:04:05.000")
 	default:
 		return "?"
 	}
@@ -285,31 +301,22 @@ func Compare(a, b Value) int {
 	}
 	if a.kind == b.kind {
 		switch a.kind {
-		case KindInt, KindBool:
+		case KindInt, KindBool, KindTime:
 			return cmpInt(a.i, b.i)
 		case KindFloat:
-			return cmpFloat(a.f, b.f)
+			return cmpFloat(a.float(), b.float())
 		case KindString:
 			return strings.Compare(a.s, b.s)
-		case KindTime:
-			switch {
-			case a.t.Before(b.t):
-				return -1
-			case a.t.After(b.t):
-				return 1
-			default:
-				return 0
-			}
 		}
 	}
 	if numericKind(a.kind) && numericKind(b.kind) {
 		return cmpFloat(a.Float(), b.Float())
 	}
 	if a.kind == KindTime && numericKind(b.kind) {
-		return cmpInt(a.t.UnixNano(), b.Int())
+		return cmpInt(a.i, b.Int())
 	}
 	if numericKind(a.kind) && b.kind == KindTime {
-		return cmpInt(a.Int(), b.t.UnixNano())
+		return cmpInt(a.Int(), b.i)
 	}
 	// Mixed string/number: compare numerically when both parse, else by text.
 	if a.kind == KindString && numericKind(b.kind) {
@@ -384,14 +391,14 @@ func EncodeKey(vals []Value) string {
 			writeUint64(&b, uint64(v.i))
 		case KindFloat:
 			b.WriteByte(0x02)
-			writeUint64(&b, math.Float64bits(v.f))
+			writeUint64(&b, uint64(v.i))
 		case KindString:
 			b.WriteByte(0x03)
 			writeUint64(&b, uint64(len(v.s)))
 			b.WriteString(v.s)
 		case KindTime:
 			b.WriteByte(0x04)
-			writeUint64(&b, uint64(v.t.UnixNano()))
+			writeUint64(&b, uint64(v.i))
 		}
 	}
 	return b.String()
@@ -471,7 +478,7 @@ func CoerceKind(v Value, k Kind) (Value, error) {
 	case KindInt:
 		switch v.kind {
 		case KindFloat:
-			return NewInt(int64(v.f)), nil
+			return NewInt(int64(v.float())), nil
 		case KindBool:
 			return NewInt(v.i), nil
 		case KindString:
@@ -481,7 +488,7 @@ func CoerceKind(v Value, k Kind) (Value, error) {
 			}
 			return NewInt(n), nil
 		case KindTime:
-			return NewInt(v.t.UnixNano()), nil
+			return NewInt(v.i), nil
 		}
 	case KindFloat:
 		switch v.kind {
@@ -501,7 +508,7 @@ func CoerceKind(v Value, k Kind) (Value, error) {
 		case KindInt:
 			return NewBool(v.i != 0), nil
 		case KindFloat:
-			return NewBool(v.f != 0), nil
+			return NewBool(v.float() != 0), nil
 		case KindString:
 			b, err := strconv.ParseBool(strings.ToLower(strings.TrimSpace(v.s)))
 			if err != nil {
@@ -512,7 +519,7 @@ func CoerceKind(v Value, k Kind) (Value, error) {
 	case KindTime:
 		switch v.kind {
 		case KindInt:
-			return NewTime(time.Unix(0, v.i)), nil
+			return Value{kind: KindTime, i: v.i}, nil
 		case KindString:
 			for _, layout := range []string{"2006-01-02 15:04:05.000", "2006-01-02 15:04:05", "2006-01-02", time.RFC3339} {
 				if t, err := time.Parse(layout, v.s); err == nil {

@@ -38,6 +38,11 @@ fi
 echo "==> go test ./..."
 go test ./...
 
+echo "==> loadgen module tests (cd loadgen && go test ./...)"
+# loadgen/ is a Go module of its own (it imports this one through a replace
+# directive), so the root-module test run above never reaches its tests.
+(cd loadgen && go test ./...)
+
 echo "==> benchlint ./... (full tree, incl. self-lint of internal/analysis)"
 go run ./cmd/benchlint ./...
 go run ./cmd/benchlint ./internal/analysis/...
