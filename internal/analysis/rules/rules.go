@@ -16,7 +16,6 @@ func All() []analysis.Rule {
 	return []analysis.Rule{
 		AtomicConsistency{},
 		TxnHygiene{},
-		PinLeak{},
 		PreparedStmtLeak{},
 		ErrorDiscard{},
 		ErrorSink{},

@@ -25,7 +25,6 @@ var fixtureCases = []struct {
 }{
 	{rules.AtomicConsistency{}, "atomic_bad.go", "atomic_good.go", "benchpress/internal/fixture"},
 	{rules.TxnHygiene{}, "txn_bad.go", "txn_good.go", "benchpress/internal/fixture"},
-	{rules.PinLeak{}, "pinleak_bad.go", "pinleak_good.go", "benchpress/internal/fixture"},
 	{rules.PreparedStmtLeak{}, "preparedleak_bad.go", "preparedleak_good.go", "benchpress/internal/fixture"},
 	{rules.ErrorDiscard{}, "errdiscard_bad.go", "errdiscard_good.go", "benchpress/internal/fixture"},
 	{rules.ErrorSink{}, "errsink_bad.go", "errsink_good.go", "benchpress/internal/fixture"},

@@ -13,17 +13,16 @@ import (
 	"time"
 
 	"benchpress/internal/sqldb"
-	"benchpress/internal/sqldb/storage/heap"
+	"benchpress/internal/sqldb/catalog"
 	"benchpress/internal/sqldb/txn"
 	"benchpress/internal/wal"
 )
 
 // Crash torture: one harness with two arms. Both drive the same seeded
-// workload while a byte budget meters every durable write; the write that
-// crosses the budget hits a fault (by default it is torn - a partial frame
-// in the log, a half-written page on the device - and everything after it
-// is rejected, exactly as if the machine lost power at that byte). Both
-// arms then check the durability contract
+// workload while a byte budget meters the log sink; the write that crosses
+// the budget hits a fault (by default it is torn - a partial frame lands -
+// and everything after it is rejected, exactly as if the machine lost power
+// at that byte). Both arms then check the durability contract
 //
 //	acked ⊆ winners ⊆ acked ∪ uncertain
 //
@@ -37,17 +36,16 @@ import (
 // sink write that either lands whole, acking the commit, or is torn and
 // dropped, so acked = winners exactly.
 //
-// The disk arm tortures the full recovery path: a disk-resident engine
-// (slotted-page heap behind a buffer pool, ARIES-style physical logging)
-// draws WAL appends and heap page flushes from ONE shared budget. The
-// surviving WAL image and device go through real recovery
-// (sqldb.OpenDisk), the recovered table must hold exactly the winners'
-// writes, and every page must verify.
+// The disk arm tortures the full recovery path: a disk-resident golock
+// engine, whose log is its store, logs every commit's rows and a mid-run
+// CREATE INDEX to the meter. The surviving image goes through real recovery
+// (sqldb.OpenDisk), and the recovered table must hold exactly the winners'
+// writes, with the index present if its DDL was acknowledged.
 //
 // With a single worker and a write-through log, the same seed and budget
 // reproduce the same byte stream, making a kill-point sweep across the
-// whole stream - including cuts inside page flushes and checkpoint
-// records - deterministic.
+// whole stream - including cuts inside multi-row commit records and inside
+// the DDL record - deterministic.
 
 // ErrKilled is the persistent error the meter returns once a kill has
 // exhausted its byte budget - the emulation of a device that died
@@ -84,64 +82,19 @@ func (f Fault) err() error {
 	}
 }
 
-// crashBudget is the shared byte meter: WAL writes and device page writes
-// draw from the same pool, so a kill point is a single global byte offset in
-// the engine's combined durable-write stream.
-type crashBudget struct {
-	mu    sync.Mutex
-	limit int64 // total bytes allowed; negative = unlimited
-	used  int64
-	dead  bool
-}
-
-func newCrashBudget(limit int64) *crashBudget { return &crashBudget{limit: limit} }
-
-// take reserves n bytes, returning the global offset at which the write
-// begins, the bytes granted, and whether the full request fit. The first
-// short grant kills the budget forever.
-func (b *crashBudget) take(n int) (start int64, granted int, ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	start = b.used
-	if b.dead {
-		return start, 0, false
-	}
-	if b.limit < 0 || b.used+int64(n) <= b.limit {
-		b.used += int64(n)
-		return start, n, true
-	}
-	granted = int(b.limit - b.used)
-	b.used = b.limit
-	b.dead = true
-	return start, granted, false
-}
-
-func (b *crashBudget) killed() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dead
-}
-
-func (b *crashBudget) usedBytes() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.used
-}
-
 // sinkWrite records one accepted WAL sink write. Under write-through policy
-// every write is exactly one record frame, so the harness can classify the
-// frame (update, commit, checkpoint) from its payload's first byte.
+// every write is exactly one record frame, so the harness can decode the
+// record from the write's bytes.
 type sinkWrite struct {
-	global int64 // offset in the shared budget stream
-	local  int   // offset within this run's sink bytes
-	n      int   // bytes accepted (the full frame unless this write tore)
+	off int // offset within this run's sink bytes
+	n   int // bytes accepted (the full frame unless this write tore)
 }
 
-// budgetWriter is the WAL sink: it charges the shared budget, keeps the
-// accepted bytes as the surviving log image, and fails per its fault once
-// the budget runs out.
+// budgetWriter is the WAL sink: it accepts writes whole until limit bytes
+// (negative = unlimited), keeps the accepted bytes as the surviving log
+// image, and fails per its fault at the write that would cross the limit.
 type budgetWriter struct {
-	budget  *crashBudget
+	limit   int64
 	fault   Fault
 	mu      sync.Mutex
 	faulted bool // the crossing write has been answered
@@ -150,64 +103,29 @@ type budgetWriter struct {
 }
 
 func (w *budgetWriter) Write(p []byte) (int, error) {
-	start, granted, ok := w.budget.take(len(p))
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	granted := len(p)
 	var err error // a short write's crossing write keeps its prefix and nil
 	switch {
-	case ok || (w.faulted && w.fault != FaultKill):
-		granted = len(p)
-	case w.fault == FaultNoSpace:
-		granted, err = 0, syscall.ENOSPC
-	case w.fault == FaultKill:
-		err = ErrKilled
+	case w.faulted && w.fault == FaultKill:
+		granted, err = 0, ErrKilled
+	case !w.faulted && w.limit >= 0 && int64(len(w.buf)+len(p)) > w.limit:
+		w.faulted = true
+		granted = int(w.limit) - len(w.buf)
+		switch w.fault {
+		case FaultNoSpace:
+			granted, err = 0, syscall.ENOSPC
+		case FaultKill:
+			err = ErrKilled
+		}
 	}
-	w.faulted = w.faulted || !ok
 	if granted > 0 {
-		w.writes = append(w.writes, sinkWrite{global: start, local: len(w.buf), n: granted})
+		w.writes = append(w.writes, sinkWrite{off: len(w.buf), n: granted})
 		w.buf = append(w.buf, p[:granted]...)
 	}
 	return granted, err
 }
-
-// budgetDevice charges heap page writes against the shared budget, tearing
-// the crossing write into the underlying MemDevice (the granted prefix lands,
-// the rest never does) and rejecting everything after.
-type budgetDevice struct {
-	mem    *heap.MemDevice
-	budget *crashBudget
-	mu     sync.Mutex
-	writes []int64 // global offsets at which page writes began
-}
-
-func (d *budgetDevice) ReadPage(id uint32, buf []byte) error { return d.mem.ReadPage(id, buf) }
-
-func (d *budgetDevice) WritePage(id uint32, buf []byte) error {
-	start, granted, ok := d.budget.take(heap.PageSize)
-	d.mu.Lock()
-	d.writes = append(d.writes, start)
-	d.mu.Unlock()
-	if granted > 0 {
-		if err := d.mem.WritePartial(id, buf, granted); err != nil {
-			return err
-		}
-	}
-	if !ok {
-		return ErrKilled
-	}
-	return nil
-}
-
-func (d *budgetDevice) Pages() (uint32, error) { return d.mem.Pages() }
-
-func (d *budgetDevice) Sync() error {
-	if d.budget.killed() {
-		return ErrKilled
-	}
-	return nil
-}
-
-func (d *budgetDevice) Close() error { return nil }
 
 // CrashConfig parameterizes one crash-torture run.
 type CrashConfig struct {
@@ -224,28 +142,18 @@ type CrashConfig struct {
 	// range so the workload stays conflict-free. Only one worker gives a
 	// deterministic byte stream.
 	Workers int
-	// Budget is the byte budget (negative = never dies). The disk arm
-	// draws WAL appends and heap page writes from it together.
+	// Budget is the byte budget of the log sink (negative = never dies).
 	Budget int64
 	// Fault is how the RAM arm's WAL sink fails at the budget. The disk
-	// arm always kills (FaultKill) its sink and device.
+	// arm always kills (FaultKill) its sink.
 	Fault Fault
 	// Policy and GroupInterval configure the RAM arm's WAL: SyncNone
 	// writes through (deterministic kill points, exact winners), SyncGroup
 	// exercises group-commit failure propagation.
 	Policy        wal.SyncPolicy
 	GroupInterval time.Duration
-	// PoolPages sizes the disk arm's buffer pool; the default of 2 frames
-	// keeps the working set larger than the pool so page flushes happen
-	// mid-run, not just at shutdown.
-	PoolPages int
-	// CheckpointEvery is the disk arm's fuzzy-checkpoint cadence in
-	// commits; the default of 10 puts several checkpoints inside a run.
-	CheckpointEvery int
-	// Device and WAL resume a previous disk run's surviving image (chained
+	// WAL resumes a previous disk run's surviving log image (chained
 	// restarts through repeated crashes); nil starts fresh.
-	Device *heap.MemDevice
-	// WAL is the surviving log image accompanying Device.
 	WAL []byte
 }
 
@@ -255,12 +163,6 @@ func (c CrashConfig) withDefaults() CrashConfig {
 	}
 	if c.Workers == 0 {
 		c.Workers = 1
-	}
-	if c.PoolPages == 0 {
-		c.PoolPages = 2
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 10
 	}
 	if c.Disk {
 		c.Fault = FaultKill
@@ -301,42 +203,55 @@ type CrashResult struct {
 	// Attempts records every transaction with its write set and commit
 	// outcome (acked, uncertain, or rolled back).
 	Attempts []CommitAttempt
+	// IndexTried reports that the disk arm issued its mid-run CREATE INDEX,
+	// and IndexErr holds that statement's error.
+	IndexTried bool
+	IndexErr   error
 	// WALImage is the surviving log: the clean prefix of the run's input
 	// plus every byte the sink accepted.
 	WALImage []byte
 	// Rows is the RAM arm's crashkv table (key to value) as a fresh session
 	// of the crashed engine sees it.
 	Rows map[int64]int64
-	// Device is the disk arm's surviving heap device, torn pages and all.
-	Device *heap.MemDevice
 	// Killed reports whether the budget ran out.
 	Killed bool
-	// Used is the total durable bytes accepted by the run.
+	// Used is the number of bytes the sink accepted.
 	Used int64
-	// SchemaFloor is the budget level at which the schema (and any prior
-	// recovery write-back) was durable; kill points below it crash before
-	// the workload starts and are not interesting to sweep.
+	// SchemaFloor is the sink offset of the first user commit record:
+	// kill points below it crash before the workload starts and are not
+	// interesting to sweep.
 	SchemaFloor int64
-	// PageWrites holds the global offset at which each heap page write
-	// began: a budget inside (off, off+PageSize) tears that very write.
-	PageWrites []int64
 
 	fault     Fault
 	sinkBytes []byte
 	walWrites []sinkWrite
 }
 
-// CheckpointWrites returns the global offset and accepted length of every
-// checkpoint record frame the run wrote, for aiming mid-checkpoint tears.
-func (r *CrashResult) CheckpointWrites() [][2]int64 {
-	var out [][2]int64
+// LoggedRecord is one whole commit record the sink accepted.
+type LoggedRecord struct {
+	// Off and Len locate the record's frame in the sink stream.
+	Off, Len int64
+	// TxnID is the committing transaction (wal.SystemTxnID for DDL).
+	TxnID uint64
+	// Rows is the number of row images the record carries.
+	Rows int
+}
+
+// Records decodes every whole record frame the run's sink accepted, for
+// aiming kill points inside particular records. Under write-through each
+// sink write is one frame; a torn one never decodes (record lengths and
+// counts are exact) and is skipped.
+func (r *CrashResult) Records() []LoggedRecord {
+	var out []LoggedRecord
 	for _, w := range r.walWrites {
 		if w.n <= wal.PayloadHeaderSize {
-			continue // torn before the payload: kind unknowable
+			continue
 		}
-		if wal.RecKind(r.sinkBytes[w.local+wal.PayloadHeaderSize]) == wal.KindCheckpoint {
-			out = append(out, [2]int64{w.global, int64(w.n)})
+		c, err := wal.DecodeCommit(r.sinkBytes[w.off+wal.PayloadHeaderSize : w.off+w.n])
+		if err != nil {
+			continue
 		}
+		out = append(out, LoggedRecord{Off: int64(w.off), Len: int64(w.n), TxnID: c.TxnID, Rows: len(c.Rows)})
 	}
 	return out
 }
@@ -352,42 +267,30 @@ func crashPad(v int64) string {
 	return string(b)
 }
 
-// RunCrash opens the arm's engine over the metered sink (and, on the disk
-// arm, the metered device, recovering any prior image first), drives the
-// seeded workload on table crashkv, and captures the surviving state after
-// the crash.
+// RunCrash opens the arm's engine over the metered sink (the disk arm
+// recovering any prior log image first), drives the seeded workload on
+// table crashkv, and captures the surviving state after the crash.
 func RunCrash(cfg CrashConfig) (*CrashResult, error) {
 	cfg = cfg.withDefaults()
-	budget := newCrashBudget(cfg.Budget)
-	sink := &budgetWriter{budget: budget, fault: cfg.Fault}
+	sink := &budgetWriter{limit: cfg.Budget, fault: cfg.Fault}
 	res := &CrashResult{fault: cfg.Fault}
 	var (
 		eng    *sqldb.Engine
-		dev    *budgetDevice
 		prefix []byte
 	)
 	if cfg.Disk {
-		mem := cfg.Device
-		if mem == nil {
-			mem = heap.NewMemDevice()
-		}
-		dev = &budgetDevice{mem: mem, budget: budget}
 		var err error
 		eng, err = sqldb.OpenDisk(sqldb.Config{
-			Name:            "disk-crash",
-			Mode:            txn.Locking,
-			WALPolicy:       wal.SyncNone,
-			DiskDevice:      dev,
-			DiskWAL:         cfg.WAL,
-			WALSink:         sink,
-			BufferPoolPages: cfg.PoolPages,
-			CheckpointEvery: cfg.CheckpointEvery,
+			Name:      "disk-crash",
+			Mode:      txn.Locking,
+			WALPolicy: wal.SyncNone,
+			DiskWAL:   cfg.WAL,
+			WALSink:   sink,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("consistency: disk crash open: %w", err)
 		}
 		prefix = cfg.WAL[:eng.DiskRecovery().CleanWALLen]
-		res.Device = mem
 	} else {
 		eng = sqldb.Open(sqldb.Config{
 			Name:                "crash-torture",
@@ -398,8 +301,7 @@ func RunCrash(cfg CrashConfig) (*CrashResult, error) {
 		})
 	}
 
-	attempts, err := runCrashWorkload(eng, cfg)
-	res.Attempts = attempts
+	err := runCrashWorkload(eng, cfg, res)
 	if err == nil && !cfg.Disk {
 		res.Rows, err = readCrashRows(eng)
 	}
@@ -413,29 +315,16 @@ func RunCrash(cfg CrashConfig) (*CrashResult, error) {
 	res.WALImage = append(append([]byte(nil), prefix...), sink.buf...)
 	res.sinkBytes = sink.buf
 	res.walWrites = sink.writes
-	if dev != nil {
-		res.PageWrites = dev.writes
+	res.Used = int64(len(sink.buf))
+	res.Killed = sink.faulted
+	res.SchemaFloor = res.Used
+	for _, rec := range res.Records() {
+		if rec.TxnID != wal.SystemTxnID {
+			res.SchemaFloor = rec.Off
+			break
+		}
 	}
-	res.Used = budget.usedBytes()
-	res.Killed = budget.killed()
-	res.SchemaFloor = res.schemaFloor()
 	return res, nil
-}
-
-// schemaFloor finds the budget level after which the schema is durable: the
-// end of the last system-transaction update frame in the first run, or the
-// recovery write-back floor for chained runs (first workload WAL write).
-func (r *CrashResult) schemaFloor() int64 {
-	for _, w := range r.walWrites {
-		if w.n <= wal.PayloadHeaderSize {
-			continue
-		}
-		if wal.RecKind(r.sinkBytes[w.local+wal.PayloadHeaderSize]) == wal.KindCommit {
-			// First commit record: everything before it is schema/bootstrap.
-			return w.global
-		}
-	}
-	return r.Used
 }
 
 // crashKeys is the number of keys each worker's transactions touch; worker
@@ -445,21 +334,27 @@ const (
 	crashKeySpan = 1000
 )
 
+// crashIndexDDL is the disk arm's mid-run schema change: a logged catalog
+// record inside the swept byte stream, and an index recovery must rebuild.
+const crashIndexDDL = "CREATE INDEX IF NOT EXISTS crashkv_v ON crashkv (v)"
+
 // runCrashWorkload creates crashkv (or, on a chained disk run, reads the
-// recovered keys) and runs the workers to completion.
-func runCrashWorkload(eng *sqldb.Engine, cfg CrashConfig) ([]CommitAttempt, error) {
+// recovered keys) and runs the workers to completion, recording their
+// attempts in res. On the disk arm, worker 0 issues crashIndexDDL halfway
+// through its transactions.
+func runCrashWorkload(eng *sqldb.Engine, cfg CrashConfig, res *CrashResult) error {
 	sess := eng.Session()
 	existing := map[int64]bool{}
 	if !eng.Catalog().HasTable("crashkv") {
 		_, err := sess.Exec(`CREATE TABLE crashkv (
 			k BIGINT NOT NULL, v BIGINT, pad VARCHAR(200), PRIMARY KEY (k))`)
 		if err != nil {
-			return nil, fmt.Errorf("consistency: crash schema: %w", err)
+			return fmt.Errorf("consistency: crash schema: %w", err)
 		}
 	} else {
 		q, err := sess.Query("SELECT k FROM crashkv")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, row := range q.Rows {
 			existing[row[0].Int()] = true
@@ -473,17 +368,25 @@ func runCrashWorkload(eng *sqldb.Engine, cfg CrashConfig) ([]CommitAttempt, erro
 	var (
 		mu       sync.Mutex
 		wg       sync.WaitGroup
-		attempts []CommitAttempt
 		firstErr error
 	)
 	for w := 0; w < cfg.Workers; w++ {
+		var ddl func(*sqldb.Session)
+		if cfg.Disk && w == 0 {
+			ddl = func(s *sqldb.Session) {
+				_, err := s.Exec(crashIndexDDL)
+				mu.Lock()
+				res.IndexTried, res.IndexErr = true, err
+				mu.Unlock()
+			}
+		}
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(worker)*104729))
-			att, err := crashWorker(eng.Session(), rng, int64(worker)*crashKeySpan, maps.Clone(existing), perWorker)
+			att, err := crashWorker(eng.Session(), rng, int64(worker)*crashKeySpan, maps.Clone(existing), perWorker, ddl)
 			mu.Lock()
-			attempts = append(attempts, att...)
+			res.Attempts = append(res.Attempts, att...)
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -491,7 +394,7 @@ func runCrashWorkload(eng *sqldb.Engine, cfg CrashConfig) ([]CommitAttempt, erro
 		}(w)
 	}
 	wg.Wait()
-	return attempts, firstErr
+	return firstErr
 }
 
 // crashWorker runs one session's share of the workload over its own key
@@ -500,11 +403,14 @@ func runCrashWorkload(eng *sqldb.Engine, cfg CrashConfig) ([]CommitAttempt, erro
 // (the crash) but not statement failures (those would be engine bugs:
 // statements never touch the durable path), and it fails the run if a
 // commit is acknowledged after an earlier one failed: a failed log must
-// stay failed.
-func crashWorker(sess *sqldb.Session, rng *rand.Rand, base int64, live map[int64]bool, txns int) ([]CommitAttempt, error) {
+// stay failed. A non-nil ddl runs before the middle transaction.
+func crashWorker(sess *sqldb.Session, rng *rand.Rand, base int64, live map[int64]bool, txns int, ddl func(*sqldb.Session)) ([]CommitAttempt, error) {
 	var attempts []CommitAttempt
 	var failedID uint64 // first failed commit; 0 = none (engine ids start at 1)
 	for i := 0; i < txns; i++ {
+		if ddl != nil && i == txns/2 {
+			ddl(sess)
+		}
 		if err := sess.Begin(); err != nil {
 			return attempts, fmt.Errorf("consistency: crash begin: %w", err)
 		}
@@ -603,8 +509,8 @@ func readCrashRows(eng *sqldb.Engine) (map[int64]int64, error) {
 
 // logWinners returns the transactions whose commit records survive in a RAM
 // engine's log image. A torn tail is the expected crash residue; any other
-// damage, a record that is not a commit, or a commit logged twice is a hard
-// error.
+// damage, a record that is not a bare commit (RAM engines log no rows), or
+// a commit logged twice is a hard error.
 func logWinners(image []byte) (map[uint64]bool, error) {
 	recs, _, err := wal.ScanRecords(image)
 	if err != nil && !errors.Is(err, wal.ErrTorn) {
@@ -612,17 +518,17 @@ func logWinners(image []byte) (map[uint64]bool, error) {
 	}
 	winners := map[uint64]bool{}
 	for _, r := range recs {
-		rec, err := wal.DecodeARIES(r.Payload)
+		rec, err := wal.DecodeCommit(r.Payload)
 		if err != nil {
 			return nil, fmt.Errorf("consistency: log record %d: %w", r.Seq, err)
 		}
-		if rec.Kind != wal.KindCommit {
-			return nil, fmt.Errorf("consistency: log record %d is kind %d, want a commit", r.Seq, rec.Kind)
+		if len(rec.Rows) != 0 {
+			return nil, fmt.Errorf("consistency: log record %d carries %d rows, want a bare commit", r.Seq, len(rec.Rows))
 		}
-		if winners[rec.Commit] {
-			return nil, fmt.Errorf("consistency: txn %d logged twice", rec.Commit)
+		if winners[rec.TxnID] {
+			return nil, fmt.Errorf("consistency: txn %d logged twice", rec.TxnID)
 		}
-		winners[rec.Commit] = true
+		winners[rec.TxnID] = true
 	}
 	return winners, nil
 }
@@ -715,31 +621,28 @@ func VerifyCrash(res *CrashResult, exact bool) error {
 	return checkRows(res.Attempts, func(a *CommitAttempt) bool { return a.Acked }, res.Rows)
 }
 
-// RecoverDiskCrash reopens an engine over a disk run's surviving image,
-// running the full ARIES restart (analysis, redo, undo, page write-back).
-// The caller owns the returned engine.
-func RecoverDiskCrash(res *CrashResult, poolPages int) (*sqldb.Engine, error) {
-	if poolPages == 0 {
-		poolPages = 8
-	}
+// RecoverDiskCrash reopens an engine over a disk run's surviving log image,
+// running the full restart: one replay of the log's clean prefix. The
+// caller owns the returned engine.
+func RecoverDiskCrash(res *CrashResult) (*sqldb.Engine, error) {
 	return sqldb.OpenDisk(sqldb.Config{
-		Name:            "disk-crash-recovered",
-		Mode:            txn.Locking,
-		WALPolicy:       wal.SyncNone,
-		DiskDevice:      res.Device,
-		DiskWAL:         res.WALImage,
-		WALSink:         &bytes.Buffer{},
-		BufferPoolPages: poolPages,
+		Name:      "disk-crash-recovered",
+		Mode:      txn.Locking,
+		WALPolicy: wal.SyncNone,
+		DiskWAL:   res.WALImage,
+		WALSink:   &bytes.Buffer{},
 	})
 }
 
 // VerifyDiskCrash checks a recovered engine against the durability contract
-// of the attempts that produced its disk image (pass cumulative attempts for
-// chained runs): the recovery winners satisfy checkAttempts, every failed
-// commit wraps the fault (ErrKilled), the recovered table holds exactly the
-// winners' writes replayed in order, value- and pad-byte-exact, and every
-// page of the recovered device verifies (recovery reformatted and rebuilt
-// any torn page from the log).
+// of the attempts that produced its log image (pass cumulative attempts for
+// chained runs): the recovery winners satisfy checkAttempts exactly (the
+// disk arm writes through, so a commit's record either lands whole and is
+// acked or tears and loses), every failed commit and a failed CREATE INDEX
+// wrap the fault (ErrKilled), an acknowledged CREATE INDEX survives, and the
+// recovered table holds exactly the winners' writes replayed in order,
+// value- and pad-byte-exact, and finds every row through the index when it
+// exists.
 func VerifyDiskCrash(res *CrashResult, attempts []CommitAttempt, eng *sqldb.Engine) error {
 	rec := eng.DiskRecovery()
 	if rec == nil {
@@ -749,8 +652,18 @@ func VerifyDiskCrash(res *CrashResult, attempts []CommitAttempt, eng *sqldb.Engi
 	for _, id := range rec.Winners {
 		winners[id] = true
 	}
-	if err := checkAttempts(attempts, winners, false, res.fault.err()); err != nil {
+	if err := checkAttempts(attempts, winners, true, res.fault.err()); err != nil {
 		return err
+	}
+	indexed, err := hasIndex(eng, "crashkv", "crashkv_v")
+	if err != nil {
+		return err
+	}
+	switch {
+	case res.IndexErr != nil && !errors.Is(res.IndexErr, res.fault.err()):
+		return fmt.Errorf("consistency: CREATE INDEX failed with %v, want an error wrapping %v", res.IndexErr, res.fault.err())
+	case res.IndexTried && res.IndexErr == nil && !indexed:
+		return fmt.Errorf("consistency: acknowledged CREATE INDEX lost")
 	}
 	rows, err := readCrashRows(eng)
 	if err != nil {
@@ -759,22 +672,32 @@ func VerifyDiskCrash(res *CrashResult, attempts []CommitAttempt, eng *sqldb.Engi
 	if err := checkRows(attempts, func(a *CommitAttempt) bool { return winners[a.ID] }, rows); err != nil {
 		return err
 	}
-
-	// Every device page must verify post-recovery: tears were rebuilt.
-	n, err := res.Device.Pages()
-	if err != nil {
-		return err
+	if !indexed {
+		return nil
 	}
-	buf := make([]byte, heap.PageSize)
-	for id := uint32(0); id < n; id++ {
-		if err := res.Device.ReadPage(id, buf); err != nil {
-			return fmt.Errorf("consistency: recovered page %d: %w", id, err)
+	sess := eng.Session()
+	for k, v := range rows {
+		q, err := sess.Query("SELECT k FROM crashkv WHERE v = ?", v)
+		if err != nil {
+			return fmt.Errorf("consistency: crashkv lookup by v: %w", err)
 		}
-		if err := heap.Verify(buf); err != nil {
-			return fmt.Errorf("consistency: recovered page %d fails verification: %w", id, err)
+		if len(q.Rows) != 1 || q.Rows[0][0].Int() != k {
+			return fmt.Errorf("consistency: lookup of v=%d found %v, want key %d", v, q.Rows, k)
 		}
 	}
 	return nil
+}
+
+// hasIndex reports whether a table exists and carries the named index.
+func hasIndex(eng *sqldb.Engine, table, index string) (bool, error) {
+	if !eng.Catalog().HasTable(table) {
+		return false, nil
+	}
+	meta, err := eng.Catalog().Table(table)
+	if err != nil {
+		return false, err
+	}
+	return slices.ContainsFunc(meta.Indexes, func(ix *catalog.Index) bool { return ix.Name == index }), nil
 }
 
 // MergeAttempts combines the attempt histories of chained runs (crash →

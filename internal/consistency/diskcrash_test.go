@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"benchpress/internal/dbdriver"
-	"benchpress/internal/sqldb/storage/heap"
 	"benchpress/internal/sqldb/txn"
 	"benchpress/internal/wal"
 )
@@ -47,7 +46,7 @@ func TestBudgetWriter(t *testing.T) {
 		{FaultShortWrite, 5, nil, 1, nil, "helloworldx"},
 		{FaultNoSpace, 0, syscall.ENOSPC, 1, nil, "hellox"},
 	} {
-		w := &budgetWriter{budget: newCrashBudget(10), fault: tc.fault}
+		w := &budgetWriter{limit: 10, fault: tc.fault}
 		if n, err := w.Write([]byte("hello")); n != 5 || err != nil {
 			t.Fatalf("%v: first write: n=%d err=%v", tc.fault, n, err)
 		}
@@ -60,8 +59,8 @@ func TestBudgetWriter(t *testing.T) {
 		if got := string(w.buf); got != tc.surviving {
 			t.Fatalf("%v: surviving image %q, want %q", tc.fault, got, tc.surviving)
 		}
-		if !w.budget.killed() {
-			t.Fatalf("%v: budget not marked killed", tc.fault)
+		if !w.faulted {
+			t.Fatalf("%v: budget not marked faulted", tc.fault)
 		}
 	}
 }
@@ -200,17 +199,18 @@ func TestCrashGroupCommit(t *testing.T) {
 	}
 }
 
-// recoverVerifyConform recovers a crash run's disk image, checks the
+// recoverVerifyConform recovers a crash run's log image, checks the
 // durability contract, optionally runs the isolation-conformance oracle on
 // the recovered engine (proving it is a fully working database, not just a
-// readable one), and returns the number of torn pages recovery rebuilt.
-func recoverVerifyConform(t *testing.T, res *CrashResult, attempts []CommitAttempt, conformTxns int, seed int64) int {
+// readable one), and reports whether the image ended in a torn record that
+// recovery cut off.
+func recoverVerifyConform(t *testing.T, res *CrashResult, attempts []CommitAttempt, conformTxns int, seed int64) bool {
 	t.Helper()
-	eng, err := RecoverDiskCrash(res, 8)
+	eng, err := RecoverDiskCrash(res)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	torn := len(eng.DiskRecovery().TornPages)
+	torn := eng.DiskRecovery().CleanWALLen < len(res.WALImage)
 	if err := VerifyDiskCrash(res, attempts, eng); err != nil {
 		eng.Close()
 		t.Fatal(err)
@@ -246,7 +246,9 @@ func recoverVerifyConform(t *testing.T, res *CrashResult, attempts []CommitAttem
 }
 
 // TestDiskCrashClean is the no-crash baseline: with an unlimited budget every
-// acked commit wins recovery and the recovered contents match the model.
+// acked commit wins recovery, the recovered contents match the model, and
+// the log holds the records the sweep aims at (multi-row commits and the
+// mid-run DDL).
 func TestDiskCrashClean(t *testing.T) {
 	res, err := RunCrash(CrashConfig{Disk: true, Seed: harnessSeed(t), Budget: -1})
 	if err != nil {
@@ -270,14 +272,18 @@ func TestDiskCrashClean(t *testing.T) {
 	if acked == 0 || rolledBack == 0 {
 		t.Fatalf("workload shape degenerate: acked=%d rolledBack=%d", acked, rolledBack)
 	}
-	if len(res.PageWrites) == 0 {
-		t.Fatal("no page flushes: the pool never wrote the device")
+	if !res.IndexTried || res.IndexErr != nil {
+		t.Fatalf("mid-run CREATE INDEX: tried=%v err=%v", res.IndexTried, res.IndexErr)
+	}
+	// One record per writing commit, plus CREATE TABLE and CREATE INDEX.
+	if recs := res.Records(); len(recs) != acked+2 {
+		t.Fatalf("log holds %d records for %d commits and 2 DDL statements", len(recs), acked)
 	}
 	recoverVerifyConform(t, res, res.Attempts, 0, harnessSeed(t))
 }
 
 // TestDiskCrashDeterminism pins the property the sweep stands on: the same
-// seed and budget reproduce the same WAL bytes and the same device image.
+// seed and budget reproduce the same log bytes.
 func TestDiskCrashDeterminism(t *testing.T) {
 	cfg := CrashConfig{Disk: true, Seed: harnessSeed(t), Budget: 9000}
 	a, err := RunCrash(cfg)
@@ -292,23 +298,14 @@ func TestDiskCrashDeterminism(t *testing.T) {
 		t.Fatalf("same seed+budget produced different WAL images (%d vs %d bytes)",
 			len(a.WALImage), len(b.WALImage))
 	}
-	ai, bi := a.Device.Image(), b.Device.Image()
-	if len(ai) != len(bi) {
-		t.Fatalf("device page counts differ: %d vs %d", len(ai), len(bi))
-	}
-	for i := range ai {
-		if !bytes.Equal(ai[i], bi[i]) {
-			t.Fatalf("device page %d differs between identical runs", i)
-		}
-	}
 }
 
 // TestDiskCrashKillPointSweep is the torture core: the seeded workload runs
-// against budgets swept across the whole durable byte stream — evenly spaced
-// cuts (aligned and mid-frame), cuts inside heap page flushes, and cuts
-// inside checkpoint records. Every kill point must recover to an image that
-// honors acked ⊆ winners ⊆ acked ∪ uncertain with byte-exact contents, and
-// the recovered engine must pass the isolation-conformance oracle.
+// against budgets swept across the whole log — evenly spaced cuts (aligned
+// and mid-frame), cuts inside multi-row commit records, and cuts inside the
+// mid-run CREATE INDEX record. Every kill point must recover to an image
+// that honors acked ⊆ winners ⊆ acked ∪ uncertain with byte-exact contents,
+// and the recovered engine must pass the isolation-conformance oracle.
 func TestDiskCrashKillPointSweep(t *testing.T) {
 	seed := harnessSeed(t)
 	dry, err := RunCrash(CrashConfig{Disk: true, Seed: seed, Budget: -1})
@@ -335,42 +332,32 @@ func TestDiskCrashKillPointSweep(t *testing.T) {
 		add(b)
 		add(b - 3) // mid-frame: WAL record headers are longer than 3 bytes
 	}
-	// Mid-page-flush tears: cut inside the first, a middle, and the last
-	// page write of the dry run.
-	var pw []int64
-	for _, off := range dry.PageWrites {
-		if off > floor {
-			pw = append(pw, off)
+	// Cuts one byte in, halfway through and one byte short of the end of
+	// a record: the first, a middle and the last multi-row commit, and the
+	// DDL record the workload logs after the schema floor.
+	var multi, ddl []LoggedRecord
+	for _, rec := range dry.Records() {
+		switch {
+		case rec.Off <= floor:
+		case rec.TxnID == wal.SystemTxnID:
+			ddl = append(ddl, rec)
+		case rec.Rows >= 2:
+			multi = append(multi, rec)
 		}
 	}
-	if len(pw) == 0 {
-		t.Fatal("no page flushes after the schema floor to tear")
+	if len(multi) == 0 || len(ddl) == 0 {
+		t.Fatalf("%d multi-row commits and %d DDL records after the schema floor to cut", len(multi), len(ddl))
 	}
-	for _, off := range []int64{pw[0], pw[len(pw)/2], pw[len(pw)-1]} {
-		add(off + 1)
-		add(off + heap.PageSize/2)
-		add(off + heap.PageSize - 1)
-	}
-	// Mid-checkpoint tears: cut inside checkpoint record frames.
-	ckpts := [][2]int64{}
-	for _, cw := range dry.CheckpointWrites() {
-		if cw[0] > floor {
-			ckpts = append(ckpts, cw)
-		}
-	}
-	if len(ckpts) == 0 {
-		t.Fatal("no checkpoints after the schema floor to tear")
-	}
-	for _, cw := range []([2]int64){ckpts[0], ckpts[len(ckpts)-1]} {
-		add(cw[0] + 1)
-		add(cw[0] + cw[1]/2)
-		add(cw[0] + cw[1] - 1)
+	for _, rec := range []LoggedRecord{multi[0], multi[len(multi)/2], multi[len(multi)-1], ddl[0]} {
+		add(rec.Off + 1)
+		add(rec.Off + rec.Len/2)
+		add(rec.Off + rec.Len - 1)
 	}
 	if len(points) < 15 {
 		t.Fatalf("only %d kill points; the sweep needs at least 15", len(points))
 	}
 
-	tornTotal := 0
+	torn := false
 	for _, b := range points {
 		res, err := RunCrash(CrashConfig{Disk: true, Seed: seed, Budget: b})
 		if err != nil {
@@ -379,10 +366,12 @@ func TestDiskCrashKillPointSweep(t *testing.T) {
 		if !res.Killed {
 			t.Fatalf("budget %d below total %d did not kill", b, total)
 		}
-		tornTotal += recoverVerifyConform(t, res, res.Attempts, 60, seed+b)
+		if recoverVerifyConform(t, res, res.Attempts, 60, seed+b) {
+			torn = true
+		}
 	}
-	if tornTotal == 0 {
-		t.Fatal("no kill point produced a torn page; mid-page-flush cuts are not biting")
+	if !torn {
+		t.Fatal("no kill point left a torn commit record; mid-record cuts are not biting")
 	}
 }
 
@@ -410,18 +399,8 @@ func TestDiskCrashChainedRestarts(t *testing.T) {
 
 	// Second life: reopen over the surviving image (recovery runs inside)
 	// and crash again at a budget found by a chained dry run.
-	chain := CrashConfig{Disk: true, Seed: seed + 1, Device: run1.Device, WAL: run1.WALImage}
-	// The chained dry run mutates the device via recovery write-back, so run
-	// it on a deep copy to keep the real chain pristine.
-	dryDev := heap.NewMemDevice()
-	for id, pg := range run1.Device.Image() {
-		if pg != nil {
-			if err := dryDev.WritePage(uint32(id), pg); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	dry2, err := RunCrash(CrashConfig{Disk: true, Seed: seed + 1, Device: dryDev, WAL: run1.WALImage, Budget: -1})
+	chain := CrashConfig{Disk: true, Seed: seed + 1, WAL: run1.WALImage}
+	dry2, err := RunCrash(CrashConfig{Disk: true, Seed: seed + 1, WAL: run1.WALImage, Budget: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

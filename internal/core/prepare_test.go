@@ -31,7 +31,6 @@ func TestPrepareReopensRecoveredDataDir(t *testing.T) {
 	}
 	p.Name = "golock-preparetest"
 	p.DataDir = dir
-	p.BufferPoolPages = 16
 	dbdriver.Register(p)
 
 	db, err := dbdriver.Open(p.Name)

@@ -37,13 +37,10 @@ type Personality struct {
 	// VacuumInterval paces the engine's online background vacuum (zero
 	// disables it).
 	VacuumInterval time.Duration
-	// DataDir, when non-empty, makes the instance disk-resident: committed
-	// rows live in a slotted-page heap behind a buffer pool with ARIES-style
-	// recovery (sqldb.OpenDisk). Empty keeps the all-RAM fast path.
+	// DataDir, when non-empty, makes the instance disk-resident: its log in
+	// DataDir is the durable store, replayed on reopen (sqldb.OpenDisk).
+	// Empty keeps the all-RAM fast path.
 	DataDir string
-	// BufferPoolPages caps the buffer pool's 4 KiB frames in disk mode
-	// (zero uses the engine default).
-	BufferPoolPages int
 }
 
 var (
@@ -181,7 +178,6 @@ func OpenWith(p Personality) (*DB, error) {
 		return &DB{p: p, eng: sqldb.Open(cfg)}, nil
 	}
 	cfg.DataDir = p.DataDir
-	cfg.BufferPoolPages = p.BufferPoolPages
 	eng, err := sqldb.OpenDisk(cfg)
 	if err != nil {
 		return nil, err

@@ -1,14 +1,15 @@
 package sqldb
 
 import (
-	"encoding/binary"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -22,116 +23,57 @@ import (
 )
 
 // Disk-resident mode. The engine keeps its in-memory multi-version row store
-// as the working representation (reads never touch the device), and mirrors
-// every committed row into a slotted-page heap behind a buffer pool, with
-// ARIES-style physical logging:
+// as the working representation (reads never leave RAM), and the log is its
+// only durable state. Each writing commit appends one commit record carrying
+// the rows it leaves behind: table id, row id and encoded row, an empty image
+// for a delete. DDL appends the table's catalog image the same way, under
+// wal.SystemTxnID. Recovery is one scan of the log's clean prefix: every
+// whole record is a winner and is applied in log order, so there is no
+// analysis, redo or undo pass, and no loser — a commit whose record did not
+// land whole never happened.
 //
-//	update records  — per-row slot images (before/after), appended without a
-//	                  flush wait (AppendRecordAsync)
-//	commit record   — appended with AppendRecord, whose group-commit verdict
-//	                  covers the whole batch (sink bytes land in LSN order)
-//	checkpoints     — fuzzy: the buffer pool's dirty page table, every
-//	                  CheckpointEvery commits
+// Row ids are the storage layer's own. Recovery reinstalls every row at the
+// id its records name (storage.Table.Reinstall), so a later record naming
+// that id names the same row in every life of the log, however vacuum has
+// recycled ids in between.
 //
-// Pages change only after the commit record is durable, so the pool never
-// holds uncommitted data (no-steal with respect to losers) and recovery's
-// undo pass is degenerate by construction. On reopen, heap.Recover replays
-// the log three-pass against the device and the engine rebuilds its RAM
-// tables from the winner updates — the log is never truncated past its clean
-// prefix, so a torn page can always be rebuilt from LSN 0.
-//
-// Known bounds, documented rather than hidden: the log is not garbage
-// collected (checkpoints bound redo work, not file size), a single row image
-// must fit one page, and a device write failure after the commit record is
-// durable surfaces as a commit error even though recovery would replay it;
-// the store then fails every later commit with that error, since its pages
-// no longer match the rows in memory.
+// Known bounds, documented rather than hidden: the log is never checkpointed
+// or truncated past its clean prefix, so reopen time and file size grow with
+// history; and wal.log is never fsynced, so a commit survives a process
+// kill but not a power loss.
 
-// diskCatalogTable is the reserved heap table id for catalog records (the
-// JSON-serialized schema of one table each).
+// diskCatalogTable is the reserved table id of catalog images: the row id is
+// the described table's id and the image its JSON-serialized schema.
 const diskCatalogTable uint32 = 0
 
-// heapRID addresses one record slot in the heap.
-type heapRID struct {
-	page uint32
-	slot uint16
-}
-
-// diskTable is the disk-side state of one table: its stable id (heap records
-// are tagged with it), the catalog record's location, and the row-id-to-slot
-// map.
-type diskTable struct {
-	id     uint32
-	tbl    *storage.Table
-	catRID heapRID
-	catRec []byte
-	rids   map[storage.RowID]heapRID
-}
-
-// pageAlloc is the free-space tracking for one heap page. free counts record
-// bytes plus directory growth (place budgets SlotDirSize per insert); slots
-// are never reused once dead, keeping redo's slot addressing stable.
-type pageAlloc struct {
-	id       uint32
-	free     int
-	nextSlot int
-	fresh    bool // never written to the device: first pin must PinNew
-}
-
-// diskOp is one planned slot mutation, logged then applied.
-type diskOp struct {
-	rid    heapRID
-	before []byte
-	after  []byte // nil deletes the slot
-	lsn    uint64
-}
-
 type diskStore struct {
-	eng  *Engine
-	dev  heap.Device
-	pool *heap.Pool
-	log  *wal.Log
-
-	walFile  *os.File // file sink; nil with an injected device
-	closeDev bool
+	eng     *Engine
+	log     *wal.Log
+	walFile *os.File // DataDir/wal.log; nil when the log goes to an injected sink
 
 	mu          sync.Mutex
-	byName      map[string]*diskTable
-	byID        map[uint32]*diskTable
+	tableIDs    map[string]uint32 // lowercased table name to its stable id
 	nextTableID uint32
-	alloc       []pageAlloc
-	allocIdx    map[uint32]int
-	nextPageID  uint32
-	commits     int
-	ckptEvery   int
-	recovery    *heap.RecoveryResult
-	undo        commitUndo
-	failed      error // sticky: a commit failed after the log held it
+	recovery    *Recovery
 }
 
-// commitUndo journals what planning one commit changed in the allocator and
-// the row-to-slot maps, so a commit that fails before its log verdict is
-// known leaves them describing the rows in memory. onCommit resets it under
-// ds.mu before planning; what DDL journals between commits is never read.
-type commitUndo struct {
-	allocLen   int
-	nextPageID uint32
-	pages      []pageAlloc // pre-images, in mutation order
-	rows       []rowUndo
+// Recovery summarizes a disk-resident engine's restart.
+type Recovery struct {
+	// Winners holds the user transactions whose commit records survived,
+	// in log order.
+	Winners []uint64
+	// MaxTxnID is the highest transaction id in the log. The engine
+	// restarts its id source above it, so a transaction id names one
+	// commit across every life of the log.
+	MaxTxnID uint64
+	// CleanWALLen is the byte length of the log's intact prefix; the file
+	// is truncated to it before new records are appended.
+	CleanWALLen int
 }
 
-// rowUndo is one row-map entry before a commit's planning changed it.
-type rowUndo struct {
-	dt     *diskTable
-	row    storage.RowID
-	rid    heapRID
-	mapped bool
-}
-
-// diskSchema is the serialized form of one table's schema, stored as a
-// catalog record so recovery can rebuild the catalog before installing rows.
+// diskSchema is the serialized form of one table's schema: the image of a
+// catalog row, from which recovery rebuilds the table before its rows.
 type diskSchema struct {
-	TableID uint32
 	Name    string
 	Columns []diskColumn
 	PK      []string
@@ -155,12 +97,13 @@ type diskIndex struct {
 	Unique  bool
 }
 
-// OpenDisk creates a disk-resident engine: it recovers the heap image from
-// the WAL, rebuilds the in-memory tables, and arranges for every commit to be
-// physically logged and applied to heap pages through the buffer pool.
-// Without DataDir or an injected device it degrades to Open.
+// OpenDisk creates a disk-resident engine: it replays DataDir/wal.log into
+// the in-memory tables and logs every later commit and DDL statement there.
+// Without a DataDir it replays cfg.DiskWAL and logs to cfg.WALSink instead
+// (the crash-torture harness's metered sink); without either it degrades to
+// Open.
 func OpenDisk(cfg Config) (*Engine, error) {
-	if cfg.DataDir == "" && cfg.DiskDevice == nil {
+	if cfg.DataDir == "" && cfg.WALSink == nil {
 		return Open(cfg), nil
 	}
 	e := &Engine{
@@ -170,19 +113,12 @@ func OpenDisk(cfg Config) (*Engine, error) {
 		tables: map[string]*storage.Table{},
 		stmts:  map[string]*cachedStmt{},
 	}
-	ds := &diskStore{
-		eng:      e,
-		byName:   map[string]*diskTable{},
-		byID:     map[uint32]*diskTable{},
-		allocIdx: map[uint32]int{},
-	}
+	ds := &diskStore{eng: e, tableIDs: map[string]uint32{}}
 	if err := ds.open(cfg); err != nil {
 		return nil, err
 	}
 	e.disk = ds
 	e.log = ds.log
-	// Never reuse a logged transaction id: an old commit record would make a
-	// new transaction's updates replay as committed even if it lost.
 	e.mgr.AdvanceTxnID(ds.recovery.MaxTxnID)
 	delay := cfg.CommitDelay
 	e.mgr.OnCommit = func(t *txn.Txn) error {
@@ -207,65 +143,47 @@ func OpenDisk(cfg Config) (*Engine, error) {
 
 // DiskRecovery returns the restart summary of a disk-resident engine, or nil
 // for a RAM engine. The crash-torture harness inspects it.
-func (e *Engine) DiskRecovery() *heap.RecoveryResult {
+func (e *Engine) DiskRecovery() *Recovery {
 	if e.disk == nil {
 		return nil
 	}
 	return e.disk.recovery
 }
 
-// DiskPoolStats snapshots the buffer pool counters of a disk-resident engine.
+// DiskPoolStats reports buffer pool counters and whether the engine is
+// disk-resident. Disk engines keep no buffer pool any more, so the counters
+// are always zero; the method stays for callers that still report them.
 func (e *Engine) DiskPoolStats() (heap.PoolStats, bool) {
-	if e.disk == nil {
-		return heap.PoolStats{}, false
-	}
-	return e.disk.pool.Stats(), true
+	return heap.PoolStats{}, e.disk != nil
 }
 
 func (ds *diskStore) open(cfg Config) error {
-	// Device and surviving log image.
-	var walBytes []byte
-	if cfg.DiskDevice != nil {
-		ds.dev = cfg.DiskDevice
-		walBytes = cfg.DiskWAL
-	} else {
+	image, path := cfg.DiskWAL, ""
+	if cfg.DataDir != "" {
 		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 			return err
 		}
-		fd, err := heap.OpenFileDevice(filepath.Join(cfg.DataDir, "heap.db"))
-		if err != nil {
-			return err
-		}
-		ds.dev = fd
-		ds.closeDev = true
-		walBytes, err = os.ReadFile(filepath.Join(cfg.DataDir, "wal.log"))
-		if err != nil && !os.IsNotExist(err) {
+		path = filepath.Join(cfg.DataDir, "wal.log")
+		var err error
+		if image, err = os.ReadFile(path); err != nil && !os.IsNotExist(err) {
 			return err
 		}
 	}
-
-	// Recover: replay the clean log prefix against the device.
-	recs, cleanLen, scanErr := wal.ScanRecords(walBytes)
-	if scanErr != nil && !errors.Is(scanErr, wal.ErrTorn) {
-		return fmt.Errorf("sqldb: disk recovery: %w", scanErr)
-	}
-	res, err := heap.Recover(ds.dev, recs)
-	if err != nil {
+	recs, cleanLen, err := wal.ScanRecords(image)
+	if err != nil && !errors.Is(err, wal.ErrTorn) {
 		return fmt.Errorf("sqldb: disk recovery: %w", err)
 	}
-	res.CleanWALLen = cleanLen
-	ds.recovery = res
-	if err := ds.rebuild(res); err != nil {
+	if err := ds.replay(recs); err != nil {
 		return fmt.Errorf("sqldb: disk recovery: %w", err)
 	}
+	ds.recovery.CleanWALLen = cleanLen
 
 	// Reopen the log where the surviving prefix left off. The file is
 	// truncated to the clean prefix so the next replay never hits mid-file
-	// torn garbage; the harness's injected sink receives only new bytes and
+	// torn garbage; an injected sink receives only new bytes, and its owner
 	// concatenates them with the prefix itself.
-	var sink io.Writer = cfg.WALSink
-	if cfg.DiskDevice == nil {
-		path := filepath.Join(cfg.DataDir, "wal.log")
+	sink := cfg.WALSink
+	if path != "" {
 		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 		if err != nil {
 			return err
@@ -281,146 +199,114 @@ func (ds *diskStore) open(cfg Config) error {
 		ds.walFile = f
 		sink = f
 	}
+	var lastSeq uint64
+	if len(recs) > 0 {
+		lastSeq = recs[len(recs)-1].Seq
+	}
 	ds.log = wal.New(wal.Options{
 		Policy:        cfg.WALPolicy,
 		GroupInterval: cfg.GroupCommitInterval,
 		W:             sink,
-		StartSeq:      res.MaxLSN,
+		StartSeq:      lastSeq,
 	})
-
-	pages := cfg.BufferPoolPages
-	if pages <= 0 {
-		pages = 64
-	}
-	ds.pool = heap.NewPool(heap.PoolOptions{Pages: pages, Device: ds.dev, FlushWAL: ds.flushWAL})
-	switch {
-	case cfg.CheckpointEvery > 0:
-		ds.ckptEvery = cfg.CheckpointEvery
-	case cfg.CheckpointEvery == 0:
-		ds.ckptEvery = 256
-	}
-
-	// Recovery flushed and synced every page, so an empty-DPT checkpoint
-	// bounds all future redo at the current LSN.
-	if _, err := ds.log.AppendRecordAsync(wal.EncodeCheckpoint(wal.CheckpointRec{})); err != nil {
-		return err
-	}
 	return nil
 }
 
-// rebuild reconstructs the engine's in-memory state from a recovery result:
-// the log holds full history (it is only ever truncated at a torn tail), so
-// replaying the winner updates yields exactly the live heap records.
-func (ds *diskStore) rebuild(res *heap.RecoveryResult) error {
-	live := map[heapRID][]byte{}
-	for _, u := range res.Updates {
-		rid := heapRID{page: u.PageID, slot: u.Slot}
-		if len(u.After) == 0 {
-			delete(live, rid)
-		} else {
-			live[rid] = u.After
-		}
-	}
-	rids := make([]heapRID, 0, len(live))
-	for rid := range live {
-		rids = append(rids, rid)
-	}
-	sort.Slice(rids, func(i, j int) bool {
-		if rids[i].page != rids[j].page {
-			return rids[i].page < rids[j].page
-		}
-		return rids[i].slot < rids[j].slot
-	})
+// tableImage is one table as a log prefix leaves it: its catalog image and
+// its live rows by id.
+type tableImage struct {
+	schema []byte
+	rows   map[storage.RowID][]byte
+}
 
+// replay folds the log's records, in order, into the tables they leave
+// behind, then installs each table and its rows at their logged ids.
+func (ds *diskStore) replay(recs []wal.Record) error {
+	res := &Recovery{}
+	tables := map[uint32]*tableImage{}
 	ds.nextTableID = diskCatalogTable + 1
-	// Pass 1: catalog records, so tables exist before their rows.
-	for _, rid := range rids {
-		rec := live[rid]
-		tid, body, err := splitHeapRec(rec)
+	for _, r := range recs {
+		c, err := wal.DecodeCommit(r.Payload)
 		if err != nil {
-			return err
+			return fmt.Errorf("log record %d: %w", r.Seq, err)
 		}
-		if tid != diskCatalogTable {
-			continue
+		if c.TxnID != wal.SystemTxnID {
+			res.Winners = append(res.Winners, c.TxnID)
 		}
-		var sc diskSchema
-		if err := json.Unmarshal(body, &sc); err != nil {
-			return fmt.Errorf("catalog record at page %d slot %d: %w", rid.page, rid.slot, err)
-		}
-		if err := ds.installSchema(sc, rid, rec); err != nil {
-			return err
-		}
-	}
-	// Pass 2: rows.
-	for _, rid := range rids {
-		rec := live[rid]
-		tid, body, err := splitHeapRec(rec)
-		if err != nil {
-			return err
-		}
-		if tid == diskCatalogTable {
-			continue
-		}
-		dt, ok := ds.byID[tid]
-		if !ok {
-			return fmt.Errorf("row at page %d slot %d references unknown table %d", rid.page, rid.slot, tid)
-		}
-		vals, err := heap.DecodeRow(body)
-		if err != nil {
-			return fmt.Errorf("row at page %d slot %d: %w", rid.page, rid.slot, err)
-		}
-		id, row, _, err := dt.tbl.Insert(0, vals)
-		if err != nil {
-			return fmt.Errorf("reinstall row at page %d slot %d: %w", rid.page, rid.slot, err)
-		}
-		// Clock starts at 1; make the recovered version visible to all.
-		row.Latest().SetBegin(1)
-		dt.rids[id] = rid
-		for ci, col := range dt.tbl.Meta.Columns {
-			if col.AutoInc && ci < len(vals) && !vals[ci].IsNull() {
-				dt.tbl.BumpAutoInc(vals[ci].Int())
+		res.MaxTxnID = max(res.MaxTxnID, c.TxnID)
+		for _, row := range c.Rows {
+			if row.Table != diskCatalogTable {
+				ti := tables[row.Table]
+				switch {
+				case ti == nil:
+					return fmt.Errorf("log record %d writes row %d of unknown table %d", r.Seq, row.Row, row.Table)
+				case row.Image == nil:
+					delete(ti.rows, row.Row)
+				default:
+					ti.rows[row.Row] = row.Image
+				}
+				continue
+			}
+			if row.Row <= int64(diskCatalogTable) || row.Row >= math.MaxUint32 {
+				return fmt.Errorf("log record %d names table id %d", r.Seq, row.Row)
+			}
+			tid := uint32(row.Row)
+			ds.nextTableID = max(ds.nextTableID, tid+1)
+			switch ti := tables[tid]; {
+			case row.Image == nil: // DROP TABLE, or the first half of TRUNCATE
+				delete(tables, tid)
+			case ti != nil: // a schema change keeps the rows
+				ti.schema = row.Image
+			default:
+				tables[tid] = &tableImage{schema: row.Image, rows: map[storage.RowID][]byte{}}
 			}
 		}
 	}
-
-	// Allocator state from the recovered pages themselves.
-	n, err := ds.dev.Pages()
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, heap.PageSize)
-	for id := uint32(0); id < n; id++ {
-		a := pageAlloc{id: id}
-		switch err := ds.dev.ReadPage(id, buf); {
-		case errors.Is(err, heap.ErrPageMissing):
-			a.free = heap.PageCapacity
-			a.fresh = true
-		case err != nil:
+	for _, tid := range sortedKeys(tables) {
+		ti := tables[tid]
+		tbl, err := ds.installSchema(tid, ti.schema)
+		if err != nil {
 			return err
-		default:
-			if err := heap.Verify(buf); err != nil {
-				return fmt.Errorf("post-recovery page %d: %w", id, err)
-			}
-			p := heap.AsPage(buf)
-			a.free = p.FreeSpace()
-			a.nextSlot = p.NumSlots()
 		}
-		ds.allocIdx[id] = len(ds.alloc)
-		ds.alloc = append(ds.alloc, a)
+		ids := sortedKeys(ti.rows)
+		rows := make([][]sqlval.Value, len(ids))
+		for i, id := range ids {
+			if rows[i], err = heap.DecodeRow(ti.rows[id]); err != nil {
+				return fmt.Errorf("table %q row %d: %w", tbl.Meta.Name, id, err)
+			}
+		}
+		if err := tbl.Reinstall(ids, rows); err != nil {
+			return err
+		}
 	}
-	ds.nextPageID = n
+	ds.recovery = res
 	return nil
+}
+
+// sortedKeys returns m's keys in ascending order, so recovery installs
+// tables and rows deterministically.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // installSchema recreates one table (catalog entry, storage table, indexes)
-// from its serialized schema.
-func (ds *diskStore) installSchema(sc diskSchema, rid heapRID, rec []byte) error {
+// from its catalog image.
+func (ds *diskStore) installSchema(tid uint32, image []byte) (*storage.Table, error) {
+	var sc diskSchema
+	if err := json.Unmarshal(image, &sc); err != nil {
+		return nil, fmt.Errorf("catalog image of table %d: %w", tid, err)
+	}
 	cols := make([]catalog.Column, len(sc.Columns))
 	for i, c := range sc.Columns {
 		col := catalog.Column{
 			Name:     c.Name,
 			TypeName: c.TypeName,
-			Kind:     sqlvalKind(c.Kind),
+			Kind:     sqlval.Kind(c.Kind),
 			Size:     c.Size,
 			NotNull:  c.NotNull,
 			AutoInc:  c.AutoInc,
@@ -428,7 +314,7 @@ func (ds *diskStore) installSchema(sc diskSchema, rid heapRID, rec []byte) error
 		if c.Default != nil {
 			vals, err := heap.DecodeRow(c.Default)
 			if err != nil || len(vals) != 1 {
-				return fmt.Errorf("table %q column %q: bad default encoding", sc.Name, c.Name)
+				return nil, fmt.Errorf("table %q column %q: bad default encoding", sc.Name, c.Name)
 			}
 			col.HasDefault = true
 			col.Default = vals[0]
@@ -437,196 +323,27 @@ func (ds *diskStore) installSchema(sc diskSchema, rid heapRID, rec []byte) error
 	}
 	meta, err := ds.eng.cat.CreateTable(sc.Name, cols, sc.PK)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, ix := range sc.Indexes {
 		if _, err := ds.eng.cat.AddIndex(sc.Name, ix.Name, ix.Columns, ix.Unique); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	tbl := storage.NewTable(meta)
 	ds.eng.tables[strings.ToLower(sc.Name)] = tbl
-	dt := &diskTable{
-		id:     sc.TableID,
-		tbl:    tbl,
-		catRID: rid,
-		catRec: rec,
-		rids:   map[storage.RowID]heapRID{},
-	}
-	ds.byName[strings.ToLower(sc.Name)] = dt
-	ds.byID[sc.TableID] = dt
-	if sc.TableID >= ds.nextTableID {
-		ds.nextTableID = sc.TableID + 1
-	}
-	return nil
+	ds.tableIDs[strings.ToLower(sc.Name)] = tid
+	return tbl, nil
 }
 
-// flushWAL is the pool's WAL-before-data enforcement: commits apply pages
-// only after their commit record is durable, so the fast path is a counter
-// compare; the barrier only fires for out-of-band states.
-func (ds *diskStore) flushWAL(lsn uint64) error {
-	if ds.log.DurableLSN() >= lsn {
-		return nil
-	}
-	if err := ds.log.Flush(); err != nil {
-		return err
-	}
-	if ds.log.DurableLSN() >= lsn {
-		return nil
-	}
-	return fmt.Errorf("sqldb: WAL durable only through %d, page holds %d", ds.log.DurableLSN(), lsn)
-}
-
-// place allocates a slot for an n-byte record: first fit on the lowest page
-// id, budgeting directory growth, deterministically (the crash sweep replays
-// commits byte-identically).
-func (ds *diskStore) place(n int) (heapRID, error) {
-	need := n + heap.SlotDirSize
-	if need > heap.PageCapacity {
-		return heapRID{}, fmt.Errorf("sqldb: %d-byte record exceeds page capacity", n)
-	}
-	for i := range ds.alloc {
-		a := &ds.alloc[i]
-		if a.free >= need && a.nextSlot < 0xFFFF {
-			ds.savePage(i)
-			rid := heapRID{page: a.id, slot: uint16(a.nextSlot)}
-			a.nextSlot++
-			a.free -= need
-			return rid, nil
-		}
-	}
-	id := ds.nextPageID
-	ds.nextPageID++
-	ds.allocIdx[id] = len(ds.alloc)
-	ds.alloc = append(ds.alloc, pageAlloc{id: id, free: heap.PageCapacity - need, nextSlot: 1, fresh: true})
-	return heapRID{page: id, slot: 0}, nil
-}
-
-// planUpdate plans a record replacement at rid: in place when the page can
-// absorb the growth, otherwise a delete plus a relocated insert.
-func (ds *diskStore) planUpdate(rid heapRID, oldRec, newRec []byte) ([]diskOp, heapRID, error) {
-	a := ds.savePage(ds.allocIdx[rid.page])
-	delta := len(newRec) - len(oldRec)
-	if delta <= a.free {
-		a.free -= delta
-		return []diskOp{{rid: rid, before: oldRec, after: newRec}}, rid, nil
-	}
-	a.free += len(oldRec)
-	newRid, err := ds.place(len(newRec))
-	if err != nil {
-		return nil, heapRID{}, err
-	}
-	return []diskOp{
-		{rid: rid, before: oldRec},
-		{rid: newRid, after: newRec},
-	}, newRid, nil
-}
-
-// savePage journals the pre-image of alloc[i] and returns the entry. Pages
-// the commit appended need no pre-image: undo drops them.
-func (ds *diskStore) savePage(i int) *pageAlloc {
-	if u := &ds.undo; i < u.allocLen {
-		u.pages = append(u.pages, ds.alloc[i])
-	}
-	return &ds.alloc[i]
-}
-
-// saveRow journals dt's row-map entry for row before a commit's planning
-// changes it.
-func (ds *diskStore) saveRow(dt *diskTable, row storage.RowID) {
-	rid, mapped := dt.rids[row]
-	ds.undo.rows = append(ds.undo.rows, rowUndo{dt: dt, row: row, rid: rid, mapped: mapped})
-}
-
-// undoPlan restores the allocator and row maps to their state before the
-// commit being planned, newest change first.
-func (ds *diskStore) undoPlan() {
-	u := &ds.undo
-	for i := len(u.rows) - 1; i >= 0; i-- {
-		r := u.rows[i]
-		if r.mapped {
-			r.dt.rids[r.row] = r.rid
-		} else {
-			delete(r.dt.rids, r.row)
-		}
-	}
-	for i := len(u.pages) - 1; i >= 0; i-- {
-		ds.alloc[ds.allocIdx[u.pages[i].id]] = u.pages[i]
-	}
-	for _, a := range ds.alloc[u.allocLen:] {
-		delete(ds.allocIdx, a.id)
-	}
-	ds.alloc = ds.alloc[:u.allocLen]
-	ds.nextPageID = u.nextPageID
-}
-
-// logOps appends one update record per op (async) and returns only once all
-// are sequenced. Callers buy durability with a subsequent awaited record.
-func (ds *diskStore) logOps(txnID uint64, ops []diskOp) error {
-	for i := range ops {
-		op := &ops[i]
-		lsn, err := ds.log.AppendRecordAsync(wal.EncodeUpdate(wal.UpdateRec{
-			TxnID:  txnID,
-			PageID: op.rid.page,
-			Slot:   op.rid.slot,
-			Before: op.before,
-			After:  op.after,
-		}))
-		if err != nil {
-			return err
-		}
-		op.lsn = lsn
-	}
-	return nil
-}
-
-// applyOps mutates heap pages through the pool. Called only after the ops'
-// durability is settled; a failure here is a device fault, not a crash state.
-func (ds *diskStore) applyOps(ops []diskOp) error {
-	for _, op := range ops {
-		a := &ds.alloc[ds.allocIdx[op.rid.page]]
-		var (
-			f   *heap.Frame
-			err error
-		)
-		if a.fresh {
-			f, err = ds.pool.PinNew(op.rid.page)
-			a.fresh = false
-		} else {
-			f, err = ds.pool.Pin(op.rid.page)
-		}
-		if err != nil {
-			return err
-		}
-		pg := f.Page()
-		if err := pg.Put(int(op.rid.slot), op.after); err != nil {
-			ds.pool.Unpin(f, false)
-			return err
-		}
-		pg.SetLSN(op.lsn)
-		ds.pool.Unpin(f, true)
-	}
-	return nil
-}
-
-// maybeCheckpointLocked logs a fuzzy checkpoint (the pool's dirty page table)
-// every ckptEvery commits. Checkpoints ride the group pipeline; a torn one is
-// simply ignored by recovery in favor of its predecessor.
-func (ds *diskStore) maybeCheckpointLocked() error {
-	ds.commits++
-	if ds.ckptEvery <= 0 || ds.commits%ds.ckptEvery != 0 {
-		return nil
-	}
-	_, err := ds.log.AppendRecordAsync(wal.EncodeCheckpoint(wal.CheckpointRec{Dirty: ds.pool.DirtyPages()}))
-	return err
-}
-
-// onCommit is the disk engine's durability hook: log the transaction's slot
-// images, await the commit record (whose verdict covers the batch), then
-// apply the images to heap pages. Runs under ds.mu, so commits apply in
-// commit order and the dirty page table snapshots are exact. A commit that
-// fails before its verdict is known undoes its planning; one that fails
-// after it leaves the store failed.
+// onCommit is the disk engine's durability hook: it logs one commit record
+// carrying every row the transaction leaves behind and awaits its verdict.
+// The record is awaited under ds.mu, one commit at a time, so records land
+// in commit order. Taking the wait out of the lock would let group commit
+// group (ROADMAP, disk step 1), but the tps gain would grow the live heap
+// past its benchmark bound, so it waits until the heap grows less per
+// transaction. A failed append fails this commit and, the log being
+// poisoned, every later one.
 func (ds *diskStore) onCommit(t *txn.Txn) error {
 	writes := t.WriteSet()
 	if len(writes) == 0 {
@@ -634,257 +351,120 @@ func (ds *diskStore) onCommit(t *txn.Txn) error {
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	if ds.failed != nil {
-		return ds.failed
-	}
-
-	u := &ds.undo
-	u.allocLen, u.nextPageID = len(ds.alloc), ds.nextPageID
-	u.pages, u.rows = u.pages[:0], u.rows[:0]
-	ops, err := ds.planCommit(writes)
-	if err == nil {
-		err = ds.logOps(t.ID(), ops)
-	}
-	if err == nil {
-		// The awaited commit record: its group-commit verdict covers every
-		// update record above (sink writes happen in sequence order).
-		err = ds.log.AppendRecord(wal.EncodeCommit(t.ID()))
-	}
-	if err != nil {
-		ds.undoPlan()
-		return err
-	}
-	// The log now holds the commit but memory will abort it if this fails,
-	// so a failure here cannot be undone.
-	if err := ds.applyOps(ops); err != nil {
-		ds.failed = fmt.Errorf("sqldb: disk heap no longer matches memory: %w", err)
-		return ds.failed
-	}
-	if err := ds.maybeCheckpointLocked(); err != nil {
-		ds.failed = fmt.Errorf("sqldb: disk checkpoint after a logged commit: %w", err)
-		return ds.failed
-	}
-	return nil
-}
-
-// planCommit turns a write set into slot ops, placing inserts and moving the
-// row-to-slot maps; the changes are journaled in ds.undo.
-func (ds *diskStore) planCommit(writes []txn.WriteRec) ([]diskOp, error) {
-	ops := make([]diskOp, 0, len(writes))
-	for _, w := range writes {
-		dt, ok := ds.byName[strings.ToLower(w.Table)]
+	rows := make([]wal.RowImage, len(writes))
+	for i, w := range writes {
+		tid, ok := ds.tableIDs[strings.ToLower(w.Table)]
 		if !ok {
-			return nil, fmt.Errorf("sqldb: commit touches unknown disk table %q", w.Table)
+			return fmt.Errorf("sqldb: commit touches unknown disk table %q", w.Table)
 		}
-		switch w.Kind {
-		case txn.WriteInsert:
-			rec := encodeHeapRec(dt.id, heap.EncodeRow(w.Data))
-			rid, err := ds.place(len(rec))
-			if err != nil {
-				return nil, err
-			}
-			ops = append(ops, diskOp{rid: rid, after: rec})
-			ds.saveRow(dt, w.RowID)
-			dt.rids[w.RowID] = rid
-		case txn.WriteUpdate:
-			rid, ok := dt.rids[w.RowID]
-			if !ok {
-				return nil, fmt.Errorf("sqldb: update of unmapped row %d in %q", w.RowID, w.Table)
-			}
-			oldRec := encodeHeapRec(dt.id, heap.EncodeRow(w.Old))
-			newRec := encodeHeapRec(dt.id, heap.EncodeRow(w.Data))
-			uops, newRid, err := ds.planUpdate(rid, oldRec, newRec)
-			if err != nil {
-				return nil, err
-			}
-			ops = append(ops, uops...)
-			ds.saveRow(dt, w.RowID)
-			dt.rids[w.RowID] = newRid
-		case txn.WriteDelete:
-			rid, ok := dt.rids[w.RowID]
-			if !ok {
-				return nil, fmt.Errorf("sqldb: delete of unmapped row %d in %q", w.RowID, w.Table)
-			}
-			rec := encodeHeapRec(dt.id, heap.EncodeRow(w.Data))
-			ops = append(ops, diskOp{rid: rid, before: rec})
-			ds.savePage(ds.allocIdx[rid.page]).free += len(rec)
-			ds.saveRow(dt, w.RowID)
-			delete(dt.rids, w.RowID)
+		rows[i] = wal.RowImage{Table: tid, Row: w.RowID}
+		if w.Kind != txn.WriteDelete {
+			rows[i].Image = heap.EncodeRow(w.Data)
 		}
 	}
-	return ops, nil
+	return ds.log.AppendRecord(wal.EncodeCommitRows(t.ID(), rows))
 }
 
-// logSystemOps logs ops under SystemTxnID (treated as always committed by
-// recovery) and forces them durable before applying — DDL is rare enough to
-// pay the barrier.
-func (ds *diskStore) logSystemOps(ops []diskOp) error {
-	if err := ds.logOps(wal.SystemTxnID, ops); err != nil {
-		return err
+// logCatalog logs catalog images as one system record and awaits it.
+// Callers hold ds.mu.
+func (ds *diskStore) logCatalog(rows ...wal.RowImage) error {
+	return ds.log.AppendRecord(wal.EncodeCommitRows(wal.SystemTxnID, rows))
+}
+
+// catalogImage encodes the named table's current schema as the catalog row
+// of table tid.
+func (ds *diskStore) catalogImage(tid uint32, tableName string) (wal.RowImage, error) {
+	meta, err := ds.eng.cat.Table(tableName)
+	if err != nil {
+		return wal.RowImage{}, err
 	}
-	if err := ds.log.Flush(); err != nil {
-		return err
-	}
-	return ds.applyOps(ops)
+	return catalogRow(tid, meta)
+}
+
+// lookup returns the stable id of a table. Callers hold ds.mu.
+func (ds *diskStore) lookup(tableName string) (uint32, bool) {
+	tid, ok := ds.tableIDs[strings.ToLower(tableName)]
+	return tid, ok
 }
 
 // onCreateTable assigns the new table a stable id and logs its catalog
-// record.
+// image.
 func (ds *diskStore) onCreateTable(meta *catalog.Table) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	tid := ds.nextTableID
+	img, err := catalogRow(tid, meta)
+	if err != nil {
+		return err
+	}
+	if err := ds.logCatalog(img); err != nil {
+		return err
+	}
 	ds.nextTableID++
-	rec, err := encodeCatalogRec(tid, meta)
-	if err != nil {
-		return err
-	}
-	rid, err := ds.place(len(rec))
-	if err != nil {
-		return err
-	}
-	if err := ds.logSystemOps([]diskOp{{rid: rid, after: rec}}); err != nil {
-		return err
-	}
-	tbl, err := ds.eng.StorageTable(meta.Name)
-	if err != nil {
-		return err
-	}
-	dt := &diskTable{
-		id:     tid,
-		tbl:    tbl,
-		catRID: rid,
-		catRec: rec,
-		rids:   map[storage.RowID]heapRID{},
-	}
-	ds.byName[strings.ToLower(meta.Name)] = dt
-	ds.byID[tid] = dt
+	ds.tableIDs[strings.ToLower(meta.Name)] = tid
 	return nil
 }
 
-// onSchemaChange re-serializes a table's catalog record in place (or
-// relocated) after DDL such as CREATE INDEX.
-func (ds *diskStore) onSchemaChange(cat *catalog.Catalog, tableName string) error {
+// onSchemaChange logs a table's new catalog image after DDL such as CREATE
+// INDEX; recovery keeps the table's rows and rebuilds its indexes.
+func (ds *diskStore) onSchemaChange(tableName string) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	dt, ok := ds.byName[strings.ToLower(tableName)]
+	tid, ok := ds.lookup(tableName)
 	if !ok {
 		return fmt.Errorf("sqldb: schema change on unknown disk table %q", tableName)
 	}
-	meta, err := cat.Table(tableName)
+	img, err := ds.catalogImage(tid, tableName)
 	if err != nil {
 		return err
 	}
-	rec, err := encodeCatalogRec(dt.id, meta)
-	if err != nil {
-		return err
-	}
-	ops, newRid, err := ds.planUpdate(dt.catRID, dt.catRec, rec)
-	if err != nil {
-		return err
-	}
-	if err := ds.logSystemOps(ops); err != nil {
-		return err
-	}
-	dt.catRID = newRid
-	dt.catRec = rec
-	return nil
+	return ds.logCatalog(img)
 }
 
-// onDropTable logs deletes for the table's rows and catalog record. Before
-// images are omitted: SystemTxnID is always a winner, so undo never consults
-// them.
+// onDropTable logs the deletion of the table's catalog row, which drops its
+// rows with it.
 func (ds *diskStore) onDropTable(name string) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	dt, ok := ds.byName[strings.ToLower(name)]
+	tid, ok := ds.lookup(name)
 	if !ok {
 		return nil
 	}
-	ops := dropOpsLocked(dt)
-	ops = append(ops, diskOp{rid: dt.catRID})
-	if err := ds.logSystemOps(ops); err != nil {
+	if err := ds.logCatalog(wal.RowImage{Table: diskCatalogTable, Row: int64(tid)}); err != nil {
 		return err
 	}
-	delete(ds.byName, strings.ToLower(name))
-	delete(ds.byID, dt.id)
+	delete(ds.tableIDs, strings.ToLower(name))
 	return nil
 }
 
-// onTruncate logs deletes for every row of the table, keeping the heap in
-// sync with a TRUNCATE (or the game's reset) so a restart does not resurrect
-// the rows.
+// onTruncate logs a TRUNCATE (or the game's reset) as the table's catalog
+// row deleted and rewritten in one record: recovery drops the rows and
+// recreates the table empty, so a restart does not resurrect them.
 func (ds *diskStore) onTruncate(name string) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	dt, ok := ds.byName[strings.ToLower(name)]
+	tid, ok := ds.lookup(name)
 	if !ok {
 		return nil
 	}
-	ops := dropOpsLocked(dt)
-	if len(ops) == 0 {
-		return nil
-	}
-	if err := ds.logSystemOps(ops); err != nil {
+	img, err := ds.catalogImage(tid, name)
+	if err != nil {
 		return err
 	}
-	dt.rids = map[storage.RowID]heapRID{}
-	return nil
+	return ds.logCatalog(wal.RowImage{Table: diskCatalogTable, Row: int64(tid)}, img)
 }
 
-// dropOpsLocked builds delete ops for every live row of dt, in deterministic
-// slot order.
-func dropOpsLocked(dt *diskTable) []diskOp {
-	rids := make([]heapRID, 0, len(dt.rids))
-	for _, rid := range dt.rids {
-		rids = append(rids, rid)
-	}
-	sort.Slice(rids, func(i, j int) bool {
-		if rids[i].page != rids[j].page {
-			return rids[i].page < rids[j].page
-		}
-		return rids[i].slot < rids[j].slot
-	})
-	ops := make([]diskOp, len(rids))
-	for i, rid := range rids {
-		ops[i] = diskOp{rid: rid}
-	}
-	return ops
-}
-
-// close flushes the pool (clean shutdown) and releases file handles. The WAL
-// is already closed by Engine.Close, so every page LSN is durable.
+// close releases the log file. The WAL is already closed by Engine.Close,
+// so every acknowledged record has been written.
 func (ds *diskStore) close() {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	ds.pool.FlushAll() // best effort: recovery replays whatever this misses
 	if ds.walFile != nil {
 		_ = ds.walFile.Close()
 	}
-	if ds.closeDev {
-		_ = ds.dev.Close()
-	}
 }
 
-// encodeHeapRec frames one row image with its table id.
-func encodeHeapRec(tableID uint32, body []byte) []byte {
-	rec := make([]byte, 4+len(body))
-	binary.LittleEndian.PutUint32(rec, tableID)
-	copy(rec[4:], body)
-	return rec
-}
-
-// splitHeapRec splits a heap record into table id and body.
-func splitHeapRec(rec []byte) (uint32, []byte, error) {
-	if len(rec) < 4 {
-		return 0, nil, fmt.Errorf("heap record of %d bytes", len(rec))
-	}
-	return binary.LittleEndian.Uint32(rec), rec[4:], nil
-}
-
-// encodeCatalogRec serializes a table's schema as a catalog heap record.
-func encodeCatalogRec(tableID uint32, meta *catalog.Table) ([]byte, error) {
-	sc := diskSchema{TableID: tableID, Name: meta.Name}
+// catalogRow serializes a table's schema as the catalog row of table tid.
+func catalogRow(tid uint32, meta *catalog.Table) (wal.RowImage, error) {
+	sc := diskSchema{Name: meta.Name}
 	for _, c := range meta.Columns {
 		dc := diskColumn{
 			Name:     c.Name,
@@ -912,13 +492,6 @@ func encodeCatalogRec(tableID uint32, meta *catalog.Table) ([]byte, error) {
 		}
 		sc.Indexes = append(sc.Indexes, di)
 	}
-	body, err := json.Marshal(sc)
-	if err != nil {
-		return nil, err
-	}
-	return encodeHeapRec(diskCatalogTable, body), nil
+	image, err := json.Marshal(sc)
+	return wal.RowImage{Table: diskCatalogTable, Row: int64(tid), Image: image}, err
 }
-
-// sqlvalKind converts a serialized kind byte back. Unknown kinds decode as
-// NULL-typed, which CreateTable will reject loudly rather than corrupt.
-func sqlvalKind(k uint8) sqlval.Kind { return sqlval.Kind(k) }

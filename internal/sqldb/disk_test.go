@@ -1,25 +1,25 @@
 package sqldb
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
-	"strings"
 	"testing"
 
-	"benchpress/internal/sqldb/storage/heap"
+	"benchpress/internal/sqldb/storage"
 	"benchpress/internal/sqldb/txn"
 	"benchpress/internal/wal"
 )
 
-func openDiskEngine(t *testing.T, dir string, poolPages int) *Engine {
+func openDiskEngine(t *testing.T, dir string) *Engine {
 	t.Helper()
 	e, err := OpenDisk(Config{
-		Name:            "golock-disk",
-		Mode:            txn.Locking,
-		WALPolicy:       wal.SyncNone,
-		DataDir:         dir,
-		BufferPoolPages: poolPages,
+		Name:      "golock-disk",
+		Mode:      txn.Locking,
+		WALPolicy: wal.SyncNone,
+		DataDir:   dir,
 	})
 	if err != nil {
 		t.Fatalf("OpenDisk: %v", err)
@@ -42,17 +42,17 @@ func setupDiskPeople(t *testing.T, s *Session) {
 }
 
 // TestDiskEngineRestart: rows, updates, and deletes committed before a clean
-// close all survive a reopen from the heap file and WAL.
+// close all survive a reopen from the log.
 func TestDiskEngineRestart(t *testing.T) {
 	dir := t.TempDir()
-	e := openDiskEngine(t, dir, 8)
+	e := openDiskEngine(t, dir)
 	s := e.Session()
 	setupDiskPeople(t, s)
 	mustExec(t, s, "UPDATE people SET name = ? WHERE id = ?", "renamed-to-something-longer", 2)
 	mustExec(t, s, "DELETE FROM people WHERE id = ?", 4)
 	e.Close()
 
-	e2 := openDiskEngine(t, dir, 8)
+	e2 := openDiskEngine(t, dir)
 	defer e2.Close()
 	s2 := e2.Session()
 	res, err := s2.Query("SELECT id, name FROM people ORDER BY id")
@@ -80,7 +80,7 @@ func TestDiskEngineRestart(t *testing.T) {
 	mustExec(t, s2, "INSERT INTO people (id, name, balance) VALUES (?, ?, ?)", 9, "late", 90.0)
 	e2.Close()
 
-	e3 := openDiskEngine(t, dir, 8)
+	e3 := openDiskEngine(t, dir)
 	defer e3.Close()
 	row, err := e3.Session().QueryRow("SELECT name FROM people WHERE id = ?", 9)
 	if err != nil || row == nil {
@@ -91,16 +91,15 @@ func TestDiskEngineRestart(t *testing.T) {
 	}
 }
 
-// TestDiskEngineCrashWithoutClose: an abandoned engine (no Close, pool never
-// flushed) recovers entirely from the WAL.
+// TestDiskEngineCrashWithoutClose: an abandoned engine (no Close) recovers
+// entirely from the log, one winner per committed insert.
 func TestDiskEngineCrashWithoutClose(t *testing.T) {
 	dir := t.TempDir()
-	e := openDiskEngine(t, dir, 8)
+	e := openDiskEngine(t, dir)
 	s := e.Session()
 	setupDiskPeople(t, s)
-	// No Close: the heap file may hold nothing at all; the log holds it all.
 
-	e2 := openDiskEngine(t, dir, 8)
+	e2 := openDiskEngine(t, dir)
 	defer e2.Close()
 	res, err := e2.Session().Query("SELECT id FROM people ORDER BY id")
 	if err != nil {
@@ -109,47 +108,8 @@ func TestDiskEngineCrashWithoutClose(t *testing.T) {
 	if len(res.Rows) != 5 {
 		t.Fatalf("%d rows recovered, want 5", len(res.Rows))
 	}
-	if rec := e2.DiskRecovery(); rec == nil || rec.Redone == 0 {
-		t.Fatalf("expected redo work, got %+v", rec)
-	}
-}
-
-// TestDiskEngineLargerThanPool: a dataset spanning more pages than the buffer
-// pool's budget forces evictions on the write path and still recovers whole.
-func TestDiskEngineLargerThanPool(t *testing.T) {
-	dir := t.TempDir()
-	e := openDiskEngine(t, dir, 2) // 2 frames = 8 KiB of pool
-	s := e.Session()
-	mustExec(t, s, `CREATE TABLE blobs (
-		id INT NOT NULL,
-		payload VARCHAR(512) NOT NULL,
-		PRIMARY KEY (id)
-	)`)
-	payload := make([]byte, 400)
-	for i := range payload {
-		payload[i] = 'x'
-	}
-	const rows = 64 // ~26 KiB of records over ~8 pages, 4x the pool
-	for i := 0; i < rows; i++ {
-		mustExec(t, s, "INSERT INTO blobs (id, payload) VALUES (?, ?)", i, string(payload))
-	}
-	st, ok := e.DiskPoolStats()
-	if !ok {
-		t.Fatal("no pool stats on a disk engine")
-	}
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions with %d rows over a 2-frame pool: %+v", rows, st)
-	}
-	e.Close()
-
-	e2 := openDiskEngine(t, dir, 2)
-	defer e2.Close()
-	res, err := e2.Session().Query("SELECT id FROM blobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != rows {
-		t.Fatalf("%d rows recovered, want %d", len(res.Rows), rows)
+	if rec := e2.DiskRecovery(); rec == nil || len(rec.Winners) != 5 {
+		t.Fatalf("expected 5 winners, got %+v", rec)
 	}
 }
 
@@ -157,13 +117,13 @@ func TestDiskEngineLargerThanPool(t *testing.T) {
 // change; after restart the index exists and serves lookups.
 func TestDiskEngineSecondaryIndexSurvives(t *testing.T) {
 	dir := t.TempDir()
-	e := openDiskEngine(t, dir, 8)
+	e := openDiskEngine(t, dir)
 	s := e.Session()
 	setupDiskPeople(t, s)
 	mustExec(t, s, "CREATE INDEX idx_people_name ON people (name)")
 	e.Close()
 
-	e2 := openDiskEngine(t, dir, 8)
+	e2 := openDiskEngine(t, dir)
 	defer e2.Close()
 	meta, err := e2.Catalog().Table("people")
 	if err != nil {
@@ -188,10 +148,10 @@ func TestDiskEngineSecondaryIndexSurvives(t *testing.T) {
 }
 
 // TestDiskEngineDropAndTruncate: dropped and truncated tables stay gone after
-// a restart (their heap records are delete-logged).
+// a restart (their catalog rows are delete-logged).
 func TestDiskEngineDropAndTruncate(t *testing.T) {
 	dir := t.TempDir()
-	e := openDiskEngine(t, dir, 8)
+	e := openDiskEngine(t, dir)
 	s := e.Session()
 	setupDiskPeople(t, s)
 	mustExec(t, s, `CREATE TABLE scratch (id INT NOT NULL, PRIMARY KEY (id))`)
@@ -200,7 +160,7 @@ func TestDiskEngineDropAndTruncate(t *testing.T) {
 	mustExec(t, s, "TRUNCATE TABLE people")
 	e.Close()
 
-	e2 := openDiskEngine(t, dir, 8)
+	e2 := openDiskEngine(t, dir)
 	defer e2.Close()
 	if e2.Catalog().HasTable("scratch") {
 		t.Fatal("dropped table resurrected")
@@ -218,7 +178,7 @@ func TestDiskEngineDropAndTruncate(t *testing.T) {
 // disk.
 func TestDiskEngineRollbackNotLogged(t *testing.T) {
 	dir := t.TempDir()
-	e := openDiskEngine(t, dir, 8)
+	e := openDiskEngine(t, dir)
 	s := e.Session()
 	setupDiskPeople(t, s)
 	mustExec(t, s, "BEGIN")
@@ -226,7 +186,7 @@ func TestDiskEngineRollbackNotLogged(t *testing.T) {
 	mustExec(t, s, "ROLLBACK")
 	e.Close()
 
-	e2 := openDiskEngine(t, dir, 8)
+	e2 := openDiskEngine(t, dir)
 	defer e2.Close()
 	row, err := e2.Session().QueryRow("SELECT id FROM people WHERE id = ?", 100)
 	if err != nil {
@@ -238,7 +198,7 @@ func TestDiskEngineRollbackNotLogged(t *testing.T) {
 }
 
 // TestDiskEngineGroupCommitPolicy: the disk path also works under SyncGroup,
-// where update records ride the commit record's group flush.
+// where each commit record waits for its group flush.
 func TestDiskEngineGroupCommitPolicy(t *testing.T) {
 	dir := t.TempDir()
 	e, err := OpenDisk(Config{
@@ -254,7 +214,7 @@ func TestDiskEngineGroupCommitPolicy(t *testing.T) {
 	setupDiskPeople(t, s)
 	e.Close()
 
-	e2 := openDiskEngine(t, dir, 8)
+	e2 := openDiskEngine(t, dir)
 	defer e2.Close()
 	res, err := e2.Session().Query("SELECT id FROM people")
 	if err != nil {
@@ -265,60 +225,178 @@ func TestDiskEngineGroupCommitPolicy(t *testing.T) {
 	}
 }
 
-// TestDiskEngineFailedCommitUndoesPlanning: a commit that fails after its
-// inserts, updates and deletes were planned (here: a row too big for a page)
-// leaves the slot allocator and the row-to-slot map as they were, so later
-// commits of the same rows succeed and a restart sees exactly memory.
-func TestDiskEngineFailedCommitUndoesPlanning(t *testing.T) {
-	dir := t.TempDir()
-	e := openDiskEngine(t, dir, 8)
-	s := e.Session()
-	mustExec(t, s, `CREATE TABLE docs (id INT NOT NULL, body VARCHAR(8000), PRIMARY KEY (id))`)
-	for i := 1; i <= 5; i++ {
-		mustExec(t, s, "INSERT INTO docs (id, body) VALUES (?, ?)", i, fmt.Sprintf("doc %d", i))
-	}
-	ds := e.disk
-	ds.mu.Lock()
-	alloc := slices.Clone(ds.alloc)
-	nextPage := ds.nextPageID
-	rids := maps.Clone(ds.byName["docs"].rids)
-	ds.mu.Unlock()
+// failingSink is a log sink that fails every write while dead is set.
+type failingSink struct {
+	dead bool
+	buf  bytes.Buffer
+}
 
-	mustExec(t, s, "BEGIN")
-	mustExec(t, s, "DELETE FROM docs WHERE id = ?", 3)
-	mustExec(t, s, "UPDATE docs SET body = ? WHERE id = ?", strings.Repeat("u", 3000), 2)
-	mustExec(t, s, "INSERT INTO docs (id, body) VALUES (?, ?)", 6, "six")
-	mustExec(t, s, "INSERT INTO docs (id, body) VALUES (?, ?)", 7, strings.Repeat("x", heap.PageCapacity))
-	if _, err := s.Exec("COMMIT"); err == nil || !strings.Contains(err.Error(), "exceeds page capacity") {
-		t.Fatalf("COMMIT of an oversized row: %v, want a page-capacity error", err)
-	}
+var errSinkDead = errors.New("sink: device gone")
 
-	ds.mu.Lock()
-	if !slices.Equal(ds.alloc, alloc) || ds.nextPageID != nextPage || len(ds.allocIdx) != len(alloc) {
-		t.Errorf("allocator changed by a failed commit:\n got %+v (next page %d)\nwant %+v (next page %d)", ds.alloc, ds.nextPageID, alloc, nextPage)
+func (w *failingSink) Write(p []byte) (int, error) {
+	if w.dead {
+		return 0, errSinkDead
 	}
-	if got := ds.byName["docs"].rids; !maps.Equal(got, rids) {
-		t.Errorf("row map changed by a failed commit: got %v, want %v", got, rids)
-	}
-	ds.mu.Unlock()
+	return w.buf.Write(p)
+}
 
-	mustExec(t, s, "DELETE FROM docs WHERE id = ?", 3)
-	mustExec(t, s, "UPDATE docs SET body = ? WHERE id = ?", "two", 2)
-	mustExec(t, s, "INSERT INTO docs (id, body) VALUES (?, ?)", 6, "six")
-	e.Close()
-
-	e2 := openDiskEngine(t, dir, 8)
-	defer e2.Close()
-	res, err := e2.Session().Query("SELECT id, body FROM docs ORDER BY id")
+// TestDiskEngineFailedCommitInvisible: a commit whose record the log sink
+// refuses leaves none of its rows visible, every later commit fails with the
+// log's sticky error even once the sink works again, and the log replays to
+// the rows committed before the failure.
+func TestDiskEngineFailedCommitInvisible(t *testing.T) {
+	sink := &failingSink{}
+	cfg := Config{Name: "golock-disk", Mode: txn.Locking, WALPolicy: wal.SyncNone, WALSink: sink}
+	e, err := OpenDisk(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for _, r := range res.Rows {
-		got = append(got, fmt.Sprintf("%d=%s", r[0].Int(), r[1].Str()))
+	defer e.Close()
+	s := e.Session()
+	setupDiskPeople(t, s)
+	want := []string{"1=p1", "2=p2", "3=p3", "4=p4", "5=p5"}
+	people := func(e *Engine) []string {
+		t.Helper()
+		res, err := e.Session().Query("SELECT id, name FROM people ORDER BY id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range res.Rows {
+			got = append(got, fmt.Sprintf("%d=%s", r[0].Int(), r[1].Str()))
+		}
+		return got
 	}
-	want := []string{"1=doc 1", "2=two", "4=doc 4", "5=doc 5", "6=six"}
-	if !slices.Equal(got, want) {
-		t.Fatalf("after restart: %v, want %v", got, want)
+
+	sink.dead = true
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "DELETE FROM people WHERE id = ?", 3)
+	mustExec(t, s, "UPDATE people SET name = ? WHERE id = ?", "two", 2)
+	mustExec(t, s, "INSERT INTO people (id, name) VALUES (?, ?)", 6, "six")
+	if _, err := s.Exec("COMMIT"); !errors.Is(err, errSinkDead) {
+		t.Fatalf("COMMIT with a dead sink: %v, want an error wrapping %v", err, errSinkDead)
+	}
+	if got := people(e); !slices.Equal(got, want) {
+		t.Fatalf("after the failed commit: %v, want %v", got, want)
+	}
+
+	sink.dead = false // the device is back, but the log stays failed
+	if _, err := s.Exec("INSERT INTO people (id, name) VALUES (?, ?)", 7, "seven"); !errors.Is(err, errSinkDead) {
+		t.Fatalf("autocommit after the failure: %v, want an error wrapping %v", err, errSinkDead)
+	}
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "UPDATE people SET name = ? WHERE id = ?", "one", 1)
+	if _, err := s.Exec("COMMIT"); !errors.Is(err, errSinkDead) {
+		t.Fatalf("explicit commit after the failure: %v, want an error wrapping %v", err, errSinkDead)
+	}
+	if got := people(e); !slices.Equal(got, want) {
+		t.Fatalf("after the later commits: %v, want %v", got, want)
+	}
+
+	cfg.DiskWAL, cfg.WALSink = sink.buf.Bytes(), &bytes.Buffer{}
+	e2, err := OpenDisk(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if got := people(e2); !slices.Equal(got, want) {
+		t.Fatalf("after replay: %v, want %v", got, want)
+	}
+}
+
+// rowIDs maps each docs row's key to its storage row id.
+func rowIDs(t *testing.T, e *Engine) map[int64]storage.RowID {
+	t.Helper()
+	tbl, err := e.StorageTable("docs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[int64]storage.RowID{}
+	tbl.ScanAll(func(id storage.RowID, r *storage.Row) bool {
+		ids[r.Latest().Data[0].Int()] = id
+		return true
+	})
+	return ids
+}
+
+// TestDiskEngineRowIdentityAcrossRestarts: a logged row id names the same
+// row in every life of the log. Vacuum recycles the ids of deleted rows
+// into new inserts; after a reopen every row keeps its id, and updates and
+// deletes of rows from before the restart, logged under those ids, replay
+// onto the right rows in the next life.
+func TestDiskEngineRowIdentityAcrossRestarts(t *testing.T) {
+	dir := t.TempDir()
+	model := map[int64]string{}
+	put := func(s *Session, sql string, id int64, body string) {
+		t.Helper()
+		mustExec(t, s, sql, body, id)
+		model[id] = body
+	}
+	const insert = "INSERT INTO docs (body, id) VALUES (?, ?)"
+	const update = "UPDATE docs SET body = ? WHERE id = ?"
+
+	e := openDiskEngine(t, dir)
+	s := e.Session()
+	mustExec(t, s, `CREATE TABLE docs (id INT NOT NULL, body VARCHAR(64), PRIMARY KEY (id))`)
+	for id := int64(1); id <= 40; id++ {
+		put(s, insert, id, fmt.Sprintf("first %d", id))
+	}
+	for id := int64(2); id <= 40; id += 2 {
+		mustExec(t, s, "DELETE FROM docs WHERE id = ?", id)
+		delete(model, id)
+	}
+	// Retire the deleted rows, advance the clock past the retirement, and
+	// recycle their slots.
+	e.Vacuum()
+	put(s, update, 1, "bump")
+	e.Vacuum()
+	var oldMax storage.RowID
+	for _, id := range rowIDs(t, e) {
+		oldMax = max(oldMax, id)
+	}
+	for id := int64(41); id <= 60; id++ {
+		put(s, insert, id, fmt.Sprintf("recycled %d", id))
+	}
+	before := rowIDs(t, e)
+	recycled := 0
+	for id := int64(41); id <= 60; id++ {
+		if before[id] < oldMax {
+			recycled++
+		}
+	}
+	if recycled == 0 {
+		t.Fatalf("no insert reused a vacuumed row id (ids %v, old max %d)", before, oldMax)
+	}
+	e.Close()
+
+	e2 := openDiskEngine(t, dir)
+	if got := rowIDs(t, e2); !maps.Equal(got, before) {
+		t.Fatalf("row ids changed across the restart:\n got %v\nwant %v", got, before)
+	}
+	s2 := e2.Session()
+	for id := int64(1); id <= 60; id += 3 {
+		if _, ok := model[id]; ok {
+			put(s2, update, id, fmt.Sprintf("second life %d", id))
+		}
+	}
+	for id := int64(41); id <= 60; id += 4 {
+		mustExec(t, s2, "DELETE FROM docs WHERE id = ?", id)
+		delete(model, id)
+	}
+	put(s2, insert, 61, "late")
+	e2.Close()
+
+	e3 := openDiskEngine(t, dir)
+	defer e3.Close()
+	res, err := e3.Session().Query("SELECT id, body FROM docs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[int64]string{}
+	for _, r := range res.Rows {
+		got[r[0].Int()] = r[1].Str()
+	}
+	if !maps.Equal(got, model) {
+		t.Fatalf("after two restarts:\n got %v\nwant %v", got, model)
 	}
 }

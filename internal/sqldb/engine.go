@@ -20,7 +20,6 @@ import (
 	"benchpress/internal/sqldb/exec"
 	"benchpress/internal/sqldb/parser"
 	"benchpress/internal/sqldb/storage"
-	"benchpress/internal/sqldb/storage/heap"
 	"benchpress/internal/sqldb/txn"
 	"benchpress/internal/sqlval"
 	"benchpress/internal/wal"
@@ -52,23 +51,13 @@ type Config struct {
 	WALSink io.Writer
 
 	// DataDir, when non-empty, makes the engine disk-resident (OpenDisk):
-	// committed rows live in a slotted-page heap file (DataDir/heap.db)
-	// behind a buffer pool, with ARIES-style physical logging in
-	// DataDir/wal.log and full recovery on reopen.
+	// DataDir/wal.log is its only durable state, one commit record per
+	// writing commit carrying the rows it leaves behind, replayed in full
+	// on reopen.
 	DataDir string
-	// BufferPoolPages caps the buffer pool's frame count in disk mode
-	// (default 64 frames = 256 KiB of 4 KiB pages).
-	BufferPoolPages int
-	// CheckpointEvery logs a fuzzy checkpoint every N disk commits
-	// (default 256; negative disables).
-	CheckpointEvery int
-	// DiskDevice overrides the heap device in disk mode; the crash-torture
-	// harness injects a tearing in-memory device here. When set, DiskWAL
-	// seeds recovery with the surviving log image and WALSink receives the
-	// new epoch's log bytes.
-	DiskDevice heap.Device
-	// DiskWAL is the surviving WAL image recovered against when DiskDevice
-	// is injected. Ignored in DataDir mode (the file is read instead).
+	// DiskWAL is the surviving log image a disk-resident engine opened
+	// without a DataDir replays; its new records go to WALSink. The
+	// crash-torture harness runs the disk arm this way.
 	DiskWAL []byte
 }
 
@@ -605,7 +594,7 @@ func (e *Engine) execDDL(ast parser.Statement) (*exec.Result, error) {
 		}
 		tbl.AddIndex(idx)
 		if e.disk != nil {
-			if err := e.disk.onSchemaChange(e.cat, d.Table); err != nil {
+			if err := e.disk.onSchemaChange(d.Table); err != nil {
 				return nil, err
 			}
 		}

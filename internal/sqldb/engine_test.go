@@ -884,12 +884,12 @@ func TestRAMWALOneCommitRecordPerOnCommit(t *testing.T) {
 		t.Fatalf("%d records for %d OnCommit calls, want 3 each", len(recs), len(ids))
 	}
 	for i, r := range recs {
-		rec, err := wal.DecodeARIES(r.Payload)
+		rec, err := wal.DecodeCommit(r.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Kind != wal.KindCommit || rec.Commit != ids[i] {
-			t.Fatalf("record %d: kind %d txn %d, want commit of txn %d", i, rec.Kind, rec.Commit, ids[i])
+		if rec.TxnID != ids[i] || len(rec.Rows) != 0 {
+			t.Fatalf("record %d: txn %d with %d rows, want a bare commit of txn %d", i, rec.TxnID, len(rec.Rows), ids[i])
 		}
 	}
 }

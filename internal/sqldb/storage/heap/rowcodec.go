@@ -1,3 +1,6 @@
+// Package heap holds the byte form of a row in a disk-resident engine's log:
+// the row codec every commit record's row images are written and recovered
+// with.
 package heap
 
 import (
@@ -9,11 +12,21 @@ import (
 	"benchpress/internal/sqlval"
 )
 
-// Row codec: the byte form of one row image inside a heap record. Layout is
+// Row codec: the byte form of one row image in a commit record. Layout is
 // a u16 column count followed by one kind byte per value and a fixed or
 // length-prefixed payload. Decoding bounds-checks everything and returns
-// errors, never panics — recovery decodes records straight off a crashed
-// device and the page fuzz target feeds garbage.
+// errors, never panics — recovery decodes every row straight out of a
+// crashed log — and it accepts only what EncodeRow writes (a bool byte is 0
+// or 1), so every decoded image re-encodes to its input.
+
+// PoolStats is the counter set of the buffer pool disk-resident engines
+// once mirrored their rows into. Nothing is mirrored any more: the log is
+// the only durable state and reads never left RAM, so every counter reads
+// zero. The type stays for callers that still report the counters.
+type PoolStats struct {
+	Hits, Misses, Evictions, Flushes uint64
+	Pinned, Dirty                    int
+}
 
 // EncodeRow serializes a row image.
 func EncodeRow(vals []sqlval.Value) []byte {
@@ -55,6 +68,9 @@ func DecodeRow(b []byte) ([]sqlval.Value, error) {
 	}
 	n := int(binary.LittleEndian.Uint16(b))
 	b = b[2:]
+	if n > len(b) {
+		return nil, fmt.Errorf("heap: row image claims %d columns in %d bytes", n, len(b))
+	}
 	vals := make([]sqlval.Value, 0, n)
 	for i := 0; i < n; i++ {
 		if len(b) < 1 {
@@ -91,10 +107,10 @@ func DecodeRow(b []byte) ([]sqlval.Value, error) {
 			vals = append(vals, sqlval.NewString(string(b[:ln])))
 			b = b[ln:]
 		case sqlval.KindBool:
-			if len(b) < 1 {
-				return nil, fmt.Errorf("heap: row image truncated at column %d payload", i)
+			if len(b) < 1 || b[0] > 1 {
+				return nil, fmt.Errorf("heap: row image column %d bool is not 0 or 1", i)
 			}
-			vals = append(vals, sqlval.NewBool(b[0] != 0))
+			vals = append(vals, sqlval.NewBool(b[0] == 1))
 			b = b[1:]
 		default:
 			return nil, fmt.Errorf("heap: row image column %d has unknown kind %d", i, kind)

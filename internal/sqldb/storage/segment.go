@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"benchpress/internal/sqlval"
 )
 
 // Row slots are striped across NumSegments segments. A RowID encodes its
@@ -102,6 +105,91 @@ func (t *Table) installRow(row *Row) RowID {
 	seg.count.Add(1)
 	seg.mu.Unlock()
 	return makeRowID(g, local)
+}
+
+// Reinstall loads recovered rows into an empty table at the row ids their
+// log names, each as one version visible to every transaction, indexes
+// them, and raises the auto-increment watermark past every recovered value.
+// It is recovery's only way in: a logged row id must name the same row in
+// every life of the log, so ids are kept, never reassigned, and every slot
+// below a segment's high-water mark that no row claims goes on that
+// segment's free list. ids must be ascending; the table must not yet be
+// shared.
+func (t *Table) Reinstall(ids []RowID, rows [][]sqlval.Value) error {
+	for i, id := range ids {
+		if id <= 0 || (i > 0 && id <= ids[i-1]) {
+			return fmt.Errorf("storage: %q: recovered row id %d out of order", t.Meta.Name, id)
+		}
+		if len(rows[i]) != len(t.Meta.Columns) {
+			return fmt.Errorf("storage: %q: recovered row %d has %d columns, want %d", t.Meta.Name, id, len(rows[i]), len(t.Meta.Columns))
+		}
+		g, local := rowAddr(id)
+		seg := &t.segs[g]
+		dir := *seg.dir.Load()
+		if pi := int(local >> pageShift); pi >= len(dir) {
+			grown := make([]*page, pi+1)
+			copy(grown, dir)
+			for j := len(dir); j <= pi; j++ {
+				grown[j] = new(page)
+			}
+			seg.dir.Store(&grown)
+			dir = grown
+		}
+		row := &Row{}
+		row.SetLatest(NewVersion(rows[i], 1, Infinity, nil)) // the clock starts at 1
+		dir[local>>pageShift][local&pageMask].Store(row)
+		seg.count.Add(1)
+		seg.used = local + 1 // ids ascend, so locals ascend within a segment
+	}
+	for g := range t.segs {
+		seg := &t.segs[g]
+		dir := *seg.dir.Load()
+		for local := seg.used - 1; local >= 0; local-- {
+			if dir[local>>pageShift][local&pageMask].Load() == nil {
+				seg.free = append(seg.free, local)
+			}
+		}
+	}
+
+	// One latch hold per index, primary first, as on the write path.
+	if t.primary != nil {
+		t.primary.Lock()
+		for i, id := range ids {
+			key := t.pkKey(rows[i])
+			if _, dup := t.primary.Get(key); dup {
+				t.primary.Unlock()
+				return &ErrDuplicateKey{Table: t.Meta.Name, Index: t.Meta.Indexes[0].Name}
+			}
+			t.primary.Insert(key, id)
+		}
+		t.primary.Unlock()
+	}
+	for _, sec := range t.secondaryList() {
+		if err := t.reinstallSecondary(sec, ids, rows); err != nil {
+			return err
+		}
+	}
+	for _, data := range rows {
+		for ci, col := range t.Meta.Columns {
+			if col.AutoInc && !data[ci].IsNull() {
+				t.BumpAutoInc(data[ci].Int())
+			}
+		}
+	}
+	return nil
+}
+
+// reinstallSecondary indexes recovered rows in one secondary index.
+func (t *Table) reinstallSecondary(sec secondaryIndex, ids []RowID, rows [][]sqlval.Value) error {
+	sec.tree.Lock()
+	defer sec.tree.Unlock()
+	for i, id := range ids {
+		if sec.meta.Unique && t.secondaryConflict(sec, rows[i], id) {
+			return &ErrDuplicateKey{Table: t.Meta.Name, Index: sec.meta.Name}
+		}
+		sec.tree.Insert(indexKey(sec.meta, rows[i], id), id)
+	}
+	return nil
 }
 
 // freeRow releases a slot, but only while it still holds the expected row:

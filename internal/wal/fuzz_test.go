@@ -5,19 +5,22 @@ import (
 	"testing"
 )
 
-// FuzzWALRecordDecode drives the ARIES payload parser with hostile input:
-// any byte string must either decode to a well-formed record or return an
-// error — never panic. Well-formed seeds additionally round-trip through a
-// framed log so ScanRecords' tolerance contract (torn tail vs hard error)
-// is exercised on mutated frames too.
+// FuzzWALRecordDecode drives the commit record parser with hostile input:
+// any byte string must either decode to a record that re-encodes to exactly
+// the same bytes, or return an error — never panic. Every payload also
+// round-trips through a framed log so ScanRecords' tolerance contract (torn
+// tail vs hard error) is exercised on mutated frames too.
 func FuzzWALRecordDecode(f *testing.F) {
 	seeds := [][]byte{
-		EncodeUpdate(UpdateRec{TxnID: 3, PageID: 1, Slot: 2, Before: []byte("b"), After: []byte("after-image")}),
-		EncodeUpdate(UpdateRec{TxnID: 1, PageID: 0, After: bytes.Repeat([]byte{0xAB}, 100)}),
-		EncodeUpdate(UpdateRec{TxnID: 1, PageID: 9, Slot: 4, Before: []byte("gone")}),
 		EncodeCommit(77),
-		EncodeCheckpoint(CheckpointRec{Dirty: []DirtyPage{{PageID: 2, RecLSN: 5}, {PageID: 8, RecLSN: 9}}}),
-		EncodeCheckpoint(CheckpointRec{}),
+		EncodeCommitRows(3, []RowImage{{Table: 1, Row: 2, Image: []byte("after-image")}}),
+		EncodeCommitRows(1, []RowImage{
+			{Table: 2, Row: 1, Image: []byte("one")},
+			{Table: 2, Row: 33},
+			{Table: 5, Row: 1 << 40, Image: []byte("far")}}),
+		EncodeCommitRows(SystemTxnID, []RowImage{{Table: 0, Row: 4, Image: []byte(`{"Name":"t"}`)}}),
+		EncodeCommitRows(9, []RowImage{{Table: 7, Row: 9, Image: bytes.Repeat([]byte{0xAB}, 100)}}),
+		EncodeCommitRows(5, []RowImage{{Table: 0, Row: 4}, {Table: 0, Row: 4, Image: []byte("{}")}}),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -27,36 +30,23 @@ func FuzzWALRecordDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	// Absurd length prefix inside an update record body.
-	huge := EncodeUpdate(UpdateRec{TxnID: 1, PageID: 1, After: []byte("x")})
-	huge[15] = 0xFF
-	huge[16] = 0xFF
+	// Absurd image length and absurd row count.
+	huge := EncodeCommitRows(1, []RowImage{{Table: 1, Row: 1, Image: []byte("x")}})
+	huge[9+4+12+2], huge[9+4+12+3] = 0xFF, 0xFF
 	f.Add(huge)
+	many := EncodeCommitRows(1, []RowImage{{Table: 1, Row: 1, Image: []byte("x")}})
+	many[9+2], many[9+3] = 0xFF, 0xFF
+	f.Add(many)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		rec, err := DecodeARIES(payload)
+		rec, err := DecodeCommit(payload)
 		if err != nil {
 			return
 		}
-		// A successful decode must re-encode to bytes that decode to the
-		// same record (the encoders are the only writers of this format).
-		var enc []byte
-		switch rec.Kind {
-		case KindUpdate:
-			enc = EncodeUpdate(rec.Update)
-		case KindCommit:
-			enc = EncodeCommit(rec.Commit)
-		case KindCheckpoint:
-			enc = EncodeCheckpoint(rec.Checkpoint)
-		default:
-			t.Fatalf("decode returned unknown kind %d without error", rec.Kind)
-		}
-		rec2, err := DecodeARIES(enc)
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded record failed: %v", err)
-		}
-		if rec2.Kind != rec.Kind {
-			t.Fatalf("round trip changed kind: %d -> %d", rec.Kind, rec2.Kind)
+		// The encoder is the only writer of this format: a successful
+		// decode must re-encode to the very bytes it came from.
+		if enc := EncodeCommitRows(rec.TxnID, rec.Rows); !bytes.Equal(enc, payload) {
+			t.Fatalf("round trip changed the payload:\n got % x\nwant % x", enc, payload)
 		}
 
 		// Frame the payload into a log and replay it: the framed path must

@@ -87,7 +87,6 @@ type flushGen struct {
 	count    atomic.Uint32 // records in this generation
 	isSealed atomic.Bool   // mirror of sealed, for cheap spin-loop checks
 	paced    bool          // a backstop leader is pacing this generation
-	maxSeq   uint64        // highest sequence stamped before the seal
 }
 
 // Log is a write-ahead log. A nil *Log is valid and performs no work, so
@@ -110,8 +109,7 @@ type Log struct {
 	closed  atomic.Bool
 	stopped sync.WaitGroup
 
-	seq     atomic.Uint64
-	durable atomic.Uint64 // highest sequence number known written to the sink
+	seq     uint64 // last sequence number stamped, guarded by mu
 	records atomic.Uint64
 	flushes atomic.Uint64
 	bytes   atomic.Uint64
@@ -147,9 +145,8 @@ func New(opts Options) *Log {
 		w:        opts.W,
 		gen:      newGen(nil),
 		stop:     make(chan struct{}),
+		seq:      opts.StartSeq,
 	}
-	l.seq.Store(opts.StartSeq)
-	l.durable.Store(opts.StartSeq)
 	if l.policy == SyncAsync {
 		l.stopped.Add(1)
 		go func() {
@@ -211,66 +208,18 @@ func (l *Log) AppendRecord(payload []byte) error {
 	if l == nil {
 		return nil
 	}
-	_, err := l.append(payload, l.policy == SyncGroup)
-	return err
-}
-
-// AppendRecordAsync writes one framed record like AppendRecord but never
-// waits for a flush: under SyncGroup and SyncAsync the bytes join the open
-// generation's buffer and ride whichever flush seals it. It returns the
-// record's sequence number (its LSN). The caller buys durability later by
-// awaiting a subsequent AppendRecord — sink bytes are written in sequence
-// order, so a durable successor implies every predecessor reached the sink.
-// The disk engine uses this to log a transaction's slot-image updates
-// without paying one group-commit wait per record; the commit record's
-// AppendRecord verdict then covers the whole batch.
-func (l *Log) AppendRecordAsync(payload []byte) (uint64, error) {
-	if l == nil {
-		return 0, nil
-	}
-	return l.append(payload, false)
-}
-
-// Flush forces buffered records to the sink and returns the write verdict,
-// regardless of policy. The disk engine uses it as a durability barrier for
-// rare out-of-band records (DDL catalog writes, WAL-before-data fallbacks);
-// commits keep riding the group pipeline.
-func (l *Log) Flush() error {
-	if l == nil {
-		return nil
-	}
-	if l.policy == SyncNone {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return l.failErr // SyncNone writes through: nothing is buffered
-	}
-	l.mu.Lock()
-	g := l.gen
-	l.sealLocked()
-	l.mu.Unlock()
-	l.complete(g)
-	return g.err
-}
-
-// DurableLSN returns the highest sequence number known written to the sink.
-// The buffer pool's WAL-before-data check compares a dirty page's LSN
-// against it before the page may be evicted.
-func (l *Log) DurableLSN() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.durable.Load()
+	return l.append(payload)
 }
 
 // append frames payload and routes it through the sync policy. The
 // sequence number is stamped under l.mu so that buffer order and sequence
 // order always agree (the checksum covers only the payload, so late
 // stamping is safe). SyncNone writes through, and the write's verdict is
-// the caller's. Otherwise the frame joins the open generation; with wait
-// set the caller then waits for that generation's flush verdict (group
-// commit), and without it the background flusher or a later flush carries
-// the bytes.
-func (l *Log) append(payload []byte, wait bool) (uint64, error) {
+// the caller's. Otherwise the frame joins the open generation; under
+// SyncGroup the caller then waits for that generation's flush verdict
+// (group commit), and under SyncAsync the background flusher carries the
+// bytes.
+func (l *Log) append(payload []byte) error {
 	frame := make([]byte, PayloadHeaderSize+len(payload))
 	frame[0] = recordMagic
 	binary.BigEndian.PutUint32(frame[12:16], uint32(len(payload)))
@@ -282,29 +231,26 @@ func (l *Log) append(payload []byte, wait bool) (uint64, error) {
 	l.mu.Lock()
 	if err := l.failErr; err != nil {
 		l.mu.Unlock()
-		return 0, err
+		return err
 	}
-	seq := l.seq.Add(1)
-	binary.BigEndian.PutUint64(frame[4:12], seq)
+	l.seq++
+	binary.BigEndian.PutUint64(frame[4:12], l.seq)
 	if l.policy == SyncNone {
 		err := writeAll(l.w, frame)
 		l.failErr = err
-		if err == nil {
-			l.durable.Store(seq)
-		}
 		l.mu.Unlock()
 		if err != nil {
-			return 0, err
+			return err
 		}
 		l.records.Add(1)
 		l.bytes.Add(uint64(len(frame)))
-		return seq, nil
+		return nil
 	}
 	l.buf = append(l.buf, frame...)
 	l.records.Add(1)
-	if !wait {
+	if l.policy != SyncGroup {
 		l.mu.Unlock()
-		return seq, nil
+		return nil
 	}
 
 	g := l.gen
@@ -318,7 +264,7 @@ func (l *Log) append(payload []byte, wait bool) (uint64, error) {
 		l.sealLocked()
 		l.mu.Unlock()
 		l.complete(g)
-		return seq, g.err
+		return g.err
 	}
 	lead := !g.paced
 	if lead {
@@ -327,13 +273,13 @@ func (l *Log) append(payload []byte, wait bool) (uint64, error) {
 	l.mu.Unlock()
 
 	if lead {
-		return seq, l.lead(g, deadline)
+		return l.lead(g, deadline)
 	}
 	// Every sealed generation is completed by whoever sealed it (its
-	// leader, an inline seal, Flush or Close), so done always closes and
-	// err is the real write verdict.
+	// leader, an inline seal or Close), so done always closes and err is
+	// the real write verdict.
 	<-g.done
-	return seq, g.err
+	return g.err
 }
 
 // leadSpinWindow bounds how much of the lone leader's interval wait runs as
@@ -402,7 +348,6 @@ func (l *Log) lead(g *flushGen, deadline time.Time) error {
 func (l *Log) sealLocked() {
 	g := l.gen
 	g.buf = l.buf
-	g.maxSeq = l.seq.Load()
 	l.buf = nil
 	l.gen = newGen(g)
 	l.lastSeal = time.Now()
@@ -446,11 +391,6 @@ func (l *Log) complete(g *flushGen) {
 			l.bytes.Add(uint64(len(g.buf)))
 			l.flushes.Add(1)
 		}
-	}
-	if err == nil {
-		// Generations complete in seal order, so maxSeq is nondecreasing
-		// here; every record at or below it has reached the sink.
-		l.durable.Store(g.maxSeq)
 	}
 	g.err = err
 	g.buf = nil
@@ -506,8 +446,8 @@ func (l *Log) Close() {
 	l.flushNow()
 }
 
-// Records returns the number of framed records appended — update, commit
-// and checkpoint records alike — not counting appends the log refused.
+// Records returns the number of framed records appended, not counting
+// appends the log refused.
 func (l *Log) Records() uint64 {
 	if l == nil {
 		return 0

@@ -17,9 +17,6 @@ func TestNilLogIsSafe(t *testing.T) {
 	if err := l.AppendRecord(EncodeCommit(3)); err != nil {
 		t.Fatal(err)
 	}
-	if seq, err := l.AppendRecordAsync(EncodeCommit(3)); seq != 0 || err != nil {
-		t.Fatalf("nil async append: seq=%d err=%v", seq, err)
-	}
 	l.Close()
 	if l.Records() != 0 || l.Flushes() != 0 || l.Bytes() != 0 {
 		t.Fatal("nil log counters")

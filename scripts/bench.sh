@@ -13,9 +13,7 @@
 #                       per-shard window histograms wired into the hot path,
 #                       next to the pre-histogram baseline (commit fafef9a)
 #   BENCH_disk.json     disk-residency record: the all-RAM golock YCSB row
-#                       next to the disk-resident buffer-pool sweep
-#                       (32/64/256 frames) with hit rates and the
-#                       dataset-to-pool ratio
+#                       next to the disk-resident one
 #
 # Usage: scripts/bench.sh [hotpath.json] [storage.json] [obsv.json] [synth.json] [disk.json]
 #        scripts/bench.sh --compare <baseline.json> [current.json] [--allow-missing]
@@ -27,7 +25,9 @@
 # dropping a benchmark is how regressions hide); pass --allow-missing to
 # downgrade that to a warning when the omission is intentional. With
 # current.json omitted it reruns the engine macro benchmarks and compares
-# the fresh numbers against the baseline record.
+# the fresh numbers against the baseline record. Names are matched without
+# the -N GOMAXPROCS suffix go test adds on multi-CPU machines, so a record
+# taken on one machine compares against a fresh run on another.
 #
 # Environment knobs:
 #   BENCHTIME_MICRO  benchtime for the micro benchmarks (default 200000x)
@@ -41,7 +41,7 @@
 #                    well past the physical core count)
 #   COMPARE_BENCH    -bench regex for the fresh run in --compare mode
 #                    (default BenchmarkEngineYCSB_; the disk gate passes
-#                    BenchmarkEngineYCSBDisk_)
+#                    BenchmarkEngineYCSBDisk)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -50,7 +50,7 @@ render() {
     printf '%s\n' "$1" | awk '
     {
         name=$1; ns=""; tps=""; bytes=""; allocs="";
-        workers=""; earlyp99=""; latep99=""; hitpct=""; ratio="";
+        workers=""; earlyp99=""; latep99="";
         for (i = 2; i <= NF; i++) {
             if ($i == "ns/op") ns = $(i-1);
             else if ($i == "tps") tps = $(i-1);
@@ -59,16 +59,12 @@ render() {
             else if ($i == "workers") workers = $(i-1);
             else if ($i == "early-p99-us") earlyp99 = $(i-1);
             else if ($i == "late-p99-us") latep99 = $(i-1);
-            else if ($i == "hit-pct") hitpct = $(i-1);
-            else if ($i == "data-pool-ratio") ratio = $(i-1);
         }
         line = sprintf("    {\"name\": \"%s\", \"ns_op\": %s", name, ns);
         if (tps != "")      line = line sprintf(", \"tps\": %s", tps);
         if (workers != "")  line = line sprintf(", \"workers\": %s", workers);
         if (earlyp99 != "") line = line sprintf(", \"early_p99_us\": %s", earlyp99);
         if (latep99 != "")  line = line sprintf(", \"late_p99_us\": %s", latep99);
-        if (hitpct != "")   line = line sprintf(", \"hit_pct\": %s", hitpct);
-        if (ratio != "")    line = line sprintf(", \"data_pool_ratio\": %s", ratio);
         if (bytes != "")    line = line sprintf(", \"b_op\": %s", bytes);
         if (allocs != "")   line = line sprintf(", \"allocs_op\": %s", allocs);
         print line "},";
@@ -80,7 +76,8 @@ render() {
 # regression. A benchmark present in the baseline but absent from the current
 # run fails the gate too — a silently dropped benchmark is how regressions
 # hide — unless allow_missing=1 (the --allow-missing flag), which downgrades
-# it to a warning. Parsing is line-oriented (each benchmark entry in the
+# it to a warning. Names lose their -N GOMAXPROCS suffix before matching.
+# Parsing is line-oriented (each benchmark entry in the
 # BENCH_*.json records is one object per line); when a name appears in both a
 # "baseline" and a "current" section of the same file, the later entry wins.
 # The fixed-duration engine benchmarks count a whole 500ms run in allocs_op,
@@ -93,6 +90,7 @@ compare_records() {
         while ((getline line < file) > 0) {
             if (match(line, /"name": "[^"]+"/) == 0) continue
             name = substr(line, RSTART + 9, RLENGTH - 10)
+            sub(/-[0-9]+$/, "", name)
             if (file == cur && !(name in seen)) { seen[name] = 1; order[++n] = name }
             if (file == base && !(name in bseen)) { bseen[name] = 1; border[++bn] = name }
             if (match(line, /"tps": [0-9.]+/))       tbl[name, "tps"] = substr(line, RSTART + 7, RLENGTH - 7) + 0
@@ -301,12 +299,10 @@ EOF
 
 echo "wrote $OBSV_OUT"
 
-echo "==> disk-resident YCSB (buffer-pool sweep)"
-# The golock personality again, disk-resident with a deliberately small
-# buffer pool: the 32-frame row is the dataset-larger-than-RAM gate (the
-# benchmark itself fails unless data >= 2x the pool), and the 32/64/256
-# sweep is the hit-rate curve. The RAM rows ride along so the record reads
-# as "what does disk residency cost at each pool budget".
+echo "==> disk-resident YCSB"
+# The golock personality again, disk-resident: every writing commit appends
+# its rows to the log and awaits its group flush. The RAM row rides along so
+# the record reads as "what does disk residency cost".
 DISK=$(go test -count=1 -run '^$' \
     -bench 'BenchmarkEngineYCSBDisk' \
     -benchmem -benchtime "${BENCHTIME_MACRO:-2x}" . | grep '^Benchmark')
@@ -314,7 +310,7 @@ DISK=$(go test -count=1 -run '^$' \
 {
     cat <<'EOF'
 {
-  "note": "Disk-residency record: 'ram' is the all-RAM golock YCSB row from the same bench.sh run; 'disk' re-registers golock with -data-dir semantics (4KiB slotted-page heap + ARIES WAL behind a clock-LRU buffer pool) at 32/64/256 frames. hit_pct is the buffer-pool hit rate, data_pool_ratio the final heap size over the pool budget (the pool32 row asserts >= 2x: a genuinely larger-than-RAM run). The verify.sh gate compares fresh disk rows against this file.",
+  "note": "Disk-residency record: 'ram' is the all-RAM golock YCSB row from the same bench.sh run; 'disk' re-registers golock with -data-dir semantics, its log the only durable store. The verify.sh gate compares a fresh disk row against this file.",
   "ram": [
 EOF
     render "$(printf '%s\n' "$MACRO" | grep 'EngineYCSB_golock')"

@@ -53,8 +53,8 @@ echo "==> benchlint hotpath-alloc (batch hot-path allocation gate)"
 # instead of hiding in the full-tree run above.
 go run ./cmd/benchlint -rule hotpath-alloc ./internal/...
 
-echo "==> go test -race (short) core/stats/sqldb/wal/api/cluster"
-go test -race -short -count=1 ./internal/core/... ./internal/stats/... ./internal/sqldb/... ./internal/wal/ ./internal/api/ ./internal/cluster/
+echo "==> go test -race (short) core/stats/sqldb/wal/api/cluster/analysis"
+go test -race -short -count=1 ./internal/core/... ./internal/stats/... ./internal/sqldb/... ./internal/wal/ ./internal/api/ ./internal/cluster/ ./internal/analysis/...
 
 echo "==> cluster merge gate (-race): coordinator + 2 in-process workers"
 # Short YCSB burst through the coordinator/worker wire: merged committed
@@ -83,17 +83,18 @@ go test -race -count=1 ./internal/consistency/
 
 echo "==> crash torture (-race): RAM log sweep + disk full-recovery sweep"
 # The durability gate, both arms of the one crash harness. A byte budget
-# meters every durable write. The RAM arm (TestCrash*) sweeps a gomvcc log
-# at 15 budgets plus mid-frame variants under a kill, a short write and
-# ENOSPC, write-through and group commit: acked = winners exactly under
+# meters the log sink. The RAM arm (TestCrash*) sweeps a gomvcc log at 15
+# budgets plus mid-frame variants under a kill, a short write and ENOSPC,
+# write-through and group commit: acked = winners exactly under
 # write-through, and no commit is acked after one failed. The disk arm
-# (TestDiskCrash*) meters WAL appends and heap page flushes together and
-# kills the stream at >= 15 points — evenly spaced, mid-WAL-frame,
-# mid-page-flush, and mid-checkpoint tears. Every kill must honor
-# acked <= winners <= acked+uncertain with byte-exact rows; disk kills must
-# also recover with every device page passing Verify and the recovered
-# engine passing the conformance oracle. Named explicitly (it also runs in
-# the package pass above) so a durability regression names itself here.
+# (TestDiskCrash*) runs a disk-resident golock engine, whose log is its only
+# store, and kills the log at >= 15 points — evenly spaced, mid-frame,
+# inside multi-row commit records and inside a CREATE INDEX record. Every
+# kill must recover by one log replay to acked = winners with byte-exact
+# rows, every failed commit must wrap the kill, some kill must leave a torn
+# record for recovery to cut, and the recovered engine must pass the
+# conformance oracle. Named explicitly (it also runs in the package pass
+# above) so a durability regression names itself here.
 go test -race -count=1 -run 'TestCrash|TestDiskCrash' ./internal/consistency/
 
 echo "==> go test -race storage stress (striped store + online vacuum)"
@@ -109,12 +110,11 @@ echo "==> bench record compare (BENCH_obsv.json -> BENCH_speed.json)"
 scripts/bench.sh --compare BENCH_obsv.json BENCH_speed.json
 
 echo "==> bench record compare (BENCH_disk.json: disk-resident YCSB, fresh run)"
-# Fresh disk-resident rows against the checked-in disk-residency record:
-# guards the buffer-pool/eviction/recovery path's throughput (and its
-# dataset>=2x-pool invariant, asserted inside the benchmark itself).
-# 4x benchtime averages four 500ms runs per row, keeping run-to-run noise
-# well inside the 5% envelope. The record's all-RAM golock row is contextual
-# (it is gated via BENCH_speed.json above), hence --allow-missing.
+# A fresh disk-resident YCSB row against the checked-in disk-residency
+# record: guards the commit-logging path's throughput and allocations per
+# transaction. 4x benchtime averages four 500ms runs per row. The record's
+# all-RAM golock row is contextual (it is gated via BENCH_speed.json above),
+# hence --allow-missing.
 COMPARE_BENCH='BenchmarkEngineYCSBDisk' BENCHTIME_MACRO=4x scripts/bench.sh --compare BENCH_disk.json --allow-missing
 
 echo "verify: all gates passed"
